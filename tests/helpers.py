@@ -1,6 +1,7 @@
 """Shared helpers: randomized structures whose relations need not hold, used
 to pin the residual sums against hand-expanded formulas."""
 
+import itertools
 import random
 
 from linfty.gfa import SymMultiMap
@@ -11,7 +12,6 @@ KIND_OF = {LinfAlgebra: "jacobi", LinfMorphism: "morphism",
 
 
 def random_map(rng: random.Random, arity, shift, sym, cod, last=None, density=0.6):
-    import itertools
     n_sym = arity - 1 if last is not None else arity
     entries = []
     sym_keys = itertools.combinations_with_replacement(sym.basis(), n_sym)
@@ -50,3 +50,12 @@ def random_modhom(rng, source, target, max_arity, up_to=3):
                            last=source.space)
              for k in range(1, up_to + 1)}
     return ModuleMorphism.build(source, target, max_arity, comps)
+
+
+def set_partitions(n):
+    """Every set partition of range(n) as a tuple of boxes, found by giving
+    each position a box label at most one above the labels before it."""
+    for labels in itertools.product(range(n), repeat=n):
+        if all(labels[k] <= max(labels[:k], default=-1) + 1 for k in range(n)):
+            yield tuple(tuple(p for p in range(n) if labels[p] == box)
+                        for box in range(max(labels, default=-1) + 1))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from linfty.restrict import (
     restrict_module,
     restrict_morphism,
 )
+from helpers import random_algebra, random_modhom, random_module, random_morphism, set_partitions
 from linfty.structures import (
     LinfAlgebra,
     LinfModule,
@@ -113,6 +115,31 @@ def test_restrict_morphism_first_component_verbatim():
         assert not out.comp(3).is_zero  # the I2 term contributes
         for n in range(1, 6):
             assert modhom_residual(out, n).is_zero
+
+
+def test_pullback_matches_set_partition_derivation():
+    # on random invalid inputs, the restricted component at arity n is the
+    # sum over set partitions of the n - 1 algebra inputs of the outer map
+    # applied to the components of I on the boxes, then the module element
+    rng = random.Random(12)
+    Lp = random_algebra(rng, GradedSpace({0: 1, 1: 1}), 4)
+    L = random_algebra(rng, GradedSpace({0: 2, -1: 1}), 4)
+    I = random_morphism(rng, Lp, L, 4)
+    M = random_module(rng, L, GradedSpace({0: 2, 1: 2}), 4, up_to=4)
+    M2 = random_module(rng, L, GradedSpace({-1: 1, 2: 1}), 4)
+    f = random_modhom(rng, M, M2, 4, up_to=4)
+    ctx = RestrictionContext(I, 4, False)
+    restricted = restrict_morphism(ctx, f, verify=False)
+    for outer, got in ((M.op, restricted.source.op), (f.comp, restricted.comp)):
+        for n in range(1, 5):
+            for xs in itertools.combinations_with_replacement(Lp.space.basis(), n - 1):
+                for m in M.space.basis():
+                    bits = 0
+                    for boxes in set_partitions(n - 1):
+                        zs = tuple(I.comp(len(box)).eval(tuple(unit(xs[p]) for p in box))
+                                   for box in boxes)
+                        bits ^= outer(len(boxes) + 1).eval(zs + (unit(m),)).bits
+                    assert got(n).value(xs + (m,)) == bits
 
 
 def _cubic_action_setup():
