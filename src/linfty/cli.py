@@ -39,6 +39,7 @@ from .structures import (
     LinfModule,
     LinfMorphism,
     ModuleMorphism,
+    complete_bound,
     compose as compose_morphisms,
     first_failure,
 )
@@ -60,31 +61,26 @@ def _thread_cap() -> int:
         return 1
 
 
-def _load(paths: List[str]) -> Bundle:
-    bundles = []
+def _read(paths: List[str]) -> List[Tuple[str, Bundle]]:
+    """Each file's text and parsed bundle, read once."""
+    out = []
     for p in paths:
         try:
             text = Path(p).read_text()
         except OSError as exc:
             raise FormatError(f"{p}: {exc}") from None
         try:
-            bundles.append(parse_bundle(text))
+            out.append((text, parse_bundle(text)))
         except FormatError as exc:
             raise FormatError(f"{p}: {exc}") from None
-    merged = merge_bundles(bundles)
+    return out
+
+
+def _merge(read: List[Tuple[str, Bundle]]) -> Bundle:
+    merged = merge_bundles([bundle for _, bundle in read])
     for w in merged.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return merged
-
-
-def _max_stored_arity(bundle: Bundle) -> int:
-    best = 1
-    for st in bundle.structures.values():
-        maps = st.ops if hasattr(st, "ops") else st.comps
-        for k, m in enumerate(maps, start=1):
-            if not m.is_zero:
-                best = max(best, k)
-    return best
 
 
 def _witness_doc(n: int, key: tuple, value: Elem) -> dict:
@@ -94,17 +90,22 @@ def _witness_doc(n: int, key: tuple, value: Elem) -> dict:
 
 
 def cmd_verify(args) -> int:
-    bundle = _load(args.paths)
-    N = args.max_arity if args.max_arity else _max_stored_arity(bundle) + 2
+    bundle = _merge(_read(args.paths))
     items = [(name, st) for name, st in sorted(bundle.structures.items())
              if args.kind in (None, _KIND_NAMES[type(st)])]
     if not items:
         print("nothing to verify", file=sys.stderr)
         return INPUT_ERROR
+    for i, (name, st) in enumerate(items):
+        bound = complete_bound(st)
+        N = args.max_arity or bound
+        if N < bound:
+            print(f"warning: {name}: --max-arity {N} is below the complete bound {bound}; "
+                  "the check is not exhaustive", file=sys.stderr)
+        items[i] = (name, st, N, N >= bound)
 
     def check(item):
-        name, st = item
-        return name, st, first_failure(st, N)
+        return item + (first_failure(item[1], item[2]),)
 
     cap = _thread_cap()
     if cap > 1:
@@ -113,20 +114,21 @@ def cmd_verify(args) -> int:
     else:
         results = [check(it) for it in items]
 
-    report = {"max_arity": N, "results": []}
+    report = {"max_arity": max(N for _, _, N, _, _ in results), "results": []}
     bad = False
-    for name, st, failure in results:
+    for name, st, N, exhaustive, failure in results:
         kind = _KIND_NAMES[type(st)]
+        result = {"name": name, "kind": kind, "max_arity": N, "exhaustive": exhaustive,
+                  "ok": failure is None}
         if failure is None:
             print(f"ok    {name} ({kind}): residuals zero for n <= {N}")
-            report["results"].append({"name": name, "kind": kind, "ok": True})
         else:
             bad = True
             n, key, value = failure
             elems = " + ".join(f"({value.degree},{i})" for i in value.indices())
             print(f"FAIL  {name} ({kind}): arity {n}, inputs {list(key)} -> {elems}")
-            report["results"].append({"name": name, "kind": kind, "ok": False,
-                                      "witness": _witness_doc(n, key, value)})
+            result["witness"] = _witness_doc(n, key, value)
+        report["results"].append(result)
     if args.report:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         if args.report == "-":
@@ -150,9 +152,8 @@ def _pick(bundle: Bundle, cls, name: Optional[str], what: str):
 
 
 def cmd_restrict(args) -> int:
-    morphism_text = Path(args.morphism).read_text()
-    module_text = Path(args.module).read_text()
-    bundle = _load([args.morphism, args.module] + (args.also_morphism or []))
+    read = _read([args.morphism, args.module] + (args.also_morphism or []))
+    bundle = _merge(read)
     mor_name, morphism = _pick(bundle, LinfMorphism, args.morphism_name, "algebra morphism")
     mod_name, module = _pick(bundle, LinfModule, args.module_name, "module")
 
@@ -172,10 +173,9 @@ def cmd_restrict(args) -> int:
         out.structures = {name: st for name, st in bundle.structures.items()
                           if isinstance(st, LinfAlgebra)}
         out.structures[f"{mod_name}_restricted"] = restricted
-        for path_or_name in args.also_morphism or []:
+        for _, extra in read[2:]:
             # the extra file was already merged; restrict every module
             # morphism it brought along
-            extra = parse_bundle(Path(path_or_name).read_text())
             for name, st in extra.structures.items():
                 if isinstance(st, ModuleMorphism):
                     try:
@@ -195,7 +195,7 @@ def cmd_restrict(args) -> int:
 
     provenance = {
         "command": "restrict",
-        "inputs": {"morphism": digest(morphism_text), "module": digest(module_text)},
+        "inputs": {"morphism": digest(read[0][0]), "module": digest(read[1][0])},
         "max_arity": morphism.max_arity,
         "verified": verified,
     }
@@ -208,7 +208,7 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    bundle = _load(args.paths)
+    bundle = _merge(_read(args.paths))
     f_name, f = _pick(bundle, ModuleMorphism, args.f, "module morphism (inner)")
     g_name, g = _pick(bundle, ModuleMorphism, args.g, "module morphism (outer)")
     composed = compose_morphisms(g, f)
@@ -292,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check every defining relation in the given bundles")
     p.add_argument("paths", nargs="+")
     p.add_argument("--max-arity", type=int, default=None,
-                   help="check n <= N (default: largest stored arity + 2)")
+                   help="check n <= N (default: each structure's complete bound, "
+                        "from its highest nonzero operations)")
     p.add_argument("--kind", choices=sorted(_KIND_NAMES.values()))
     p.add_argument("--report", help="write the JSON report here ('-' for stdout)")
     p.set_defaults(fn=cmd_verify)

@@ -1,19 +1,22 @@
 """
 Restriction of scalars along an algebra morphism I: L' -> L.
 
-An L-module pulls back to an L'-module by feeding primed-unshuffled groups of
-inputs through the components of I before acting:
+An L-module pulls back to an L'-module by feeding grouped inputs through the
+components of I before acting:
 
-    k'_1 = k_1
-    k'_n = sum over nondecreasing compositions i_1 + ... + i_r = n-1
-           and tau in S'(i_1, ..., i_r) of
-           k_{r+1} o (I_{i_1} (x) ... (x) I_{i_r} (x) Id) o (tau (x) Id)
+    k'_n = sum over set partitions {B_1, ..., B_r} of the n-1 algebra inputs
+           of k_{r+1}(I_|B_1|(B_1), ..., I_|B_r|(B_r), m)
 
-and a module morphism f pulls back by the same formula with f_{r+1} in place
-of k_{r+1} (so (I*f)_1 = f_1 on the nose).  Both constructions produce
-structures satisfying their defining relations; ``restrict_module`` and
-``restrict_morphism`` re-verify this by default, since a failure there for
-verified inputs can only mean an implementation bug.
+(so k'_1 = k_1), and a module morphism f pulls back by the same formula with
+f_{r+1} in place of k_{r+1} (so (I*f)_1 = f_1 on the nose).  In the
+semidirect-product picture of ``structures`` (Lada-Markl, Comm. Algebra
+1995) this is the one-module-element part of the grouped sum of the module
+maps after the algebra morphism I + id_M: L' x| M -> L x| M, computed there
+by ``structures.pullback``; this module knows nothing of the embedding.  Both
+constructions produce structures satisfying their defining relations;
+``restrict_module`` and ``restrict_morphism`` re-verify this by default,
+since a failure there for verified inputs can only mean an implementation
+bug.
 
 The restricted structures share the source algebra object of I by reference,
 so later compositions can check algebra identity cheaply.
@@ -21,13 +24,12 @@ so later compositions can check algebra identity cheaply.
 
 from __future__ import annotations
 
-import itertools
 import warnings as _warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .gfa import Elem, SymMultiMap, unit
-from .perm import apply, ordered_partitions, primed_unshuffles
+from .perm import primed_unshuffles  # noqa: F401  unused; bench/test_bench.py looks it up here
 from .structures import (
     LinfAlgebra,
     LinfModule,
@@ -37,6 +39,7 @@ from .structures import (
     modhom_residual,
     module_residual,
     morphism_residual,
+    pullback,
 )
 
 __all__ = [
@@ -93,42 +96,6 @@ def context(morphism: LinfMorphism, max_arity: Optional[int] = None) -> Restrict
     return RestrictionContext(morphism, N, ok)
 
 
-def _pullback_tables(ctx: RestrictionContext, comp_of, module_space, n: int) -> SymMultiMap:
-    """The arity-n pullback component: comp_of(r+1) applied after grouped I's.
-
-    comp_of(k) supplies either the module operations or the morphism
-    components being restricted; both have n-1 symmetric slots over L and a
-    final module slot at arity n.
-    """
-    I = ctx.morphism
-    src_basis = ctx.source.space.basis()
-    entries = []
-    template = comp_of(n)  # fixes shift and codomain conventions
-    for xs in itertools.combinations_with_replacement(src_basis, n - 1):
-        for mb in module_space.basis():
-            bits = 0
-            for spec in ordered_partitions(n - 1):
-                r = len(spec.sizes)
-                outer = comp_of(r + 1)
-                comps = [I.comp(i) for i in spec.sizes]
-                if outer.is_zero or any(c.is_zero for c in comps):
-                    continue
-                for tau in primed_unshuffles(spec):
-                    ys = apply(tau, xs)
-                    zs: List[Elem] = []
-                    off = 0
-                    for size, c in zip(spec.sizes, comps):
-                        zs.append(c.eval(tuple(unit(b) for b in ys[off:off + size])))
-                        off += size
-                    if any(z.is_zero for z in zs):
-                        continue
-                    bits ^= outer.eval(tuple(zs) + (unit(mb),)).bits
-            if bits:
-                entries.append((xs + (mb,), bits))
-    return SymMultiMap(n, template.shift, ctx.source.space, template.codomain,
-                       entries, last_space=module_space)
-
-
 def _rebuild_arity_one(m: SymMultiMap, new_sym) -> SymMultiMap:
     # an arity-1 module map has no symmetric slots; only the slot space label changes
     return SymMultiMap(1, m.shift, new_sym, m.codomain, m.entries(), last_space=m.last_space)
@@ -145,8 +112,8 @@ def _check_inputs(ctx: RestrictionContext, verified: bool) -> bool:
 def restrict_module(ctx: RestrictionContext, module: LinfModule, *, verify: bool = True) -> LinfModule:
     """The pullback module over the source algebra of the context.
 
-    The module differential is unchanged (the composition sum is empty at
-    n = 1); higher operations are the grouped-unshuffle sums.  With
+    The module differential is unchanged (the only grouping at n = 1 is
+    the module element alone); higher operations are the grouped sums.  With
     ``verify`` the input relations are checked first and the output relations
     afterwards; an output failure for verified inputs raises.
     """
@@ -161,9 +128,7 @@ def restrict_module(ctx: RestrictionContext, module: LinfModule, *, verify: bool
         inputs_ok = all(module_residual(module, n).is_zero for n in range(1, N + 1))
         inputs_ok = _check_inputs(ctx, inputs_ok)
 
-    ops = {1: _rebuild_arity_one(module.op(1), ctx.source.space)}
-    for n in range(2, N + 1):
-        ops[n] = _pullback_tables(ctx, module.op, module.space, n)
+    ops = dict(enumerate(pullback(ctx.morphism, module.ops), start=1))
     result = LinfModule.build(ctx.source, module.space, N, ops)
 
     if verify and inputs_ok:
@@ -191,9 +156,7 @@ def restrict_morphism(ctx: RestrictionContext, f: ModuleMorphism, *, verify: boo
 
     src = restrict_module(ctx, f.source, verify=False)
     tgt = restrict_module(ctx, f.target, verify=False)
-    comps = {1: _rebuild_arity_one(f.comp(1), ctx.source.space)}
-    for n in range(2, N + 1):
-        comps[n] = _pullback_tables(ctx, f.comp, f.source.space, n)
+    comps = dict(enumerate(pullback(ctx.morphism, f.comps), start=1))
     result = ModuleMorphism.build(src, tgt, N, comps)
 
     if verify and inputs_ok:

@@ -12,6 +12,19 @@ the arity-n multilinear map equal to the (F2) sum of both sides, which is the
 zero map exactly when the relation holds at arity n.  Residuals are returned
 as maps rather than booleans so that failures carry a witness basis tuple.
 
+Every sum is one of two kernels: the insertion sum
+sum_{i+j=n+1} sum_{S(i,n-i)} outer_j(inner_i(..), ..) and the grouped sum
+over set partitions of the inputs of outer_r(inner(B_1), .., inner(B_r)).
+Jacobi is one insertion sum, the morphism relation an insertion plus a
+grouped sum.  Modules reduce to algebras (Lada-Markl, "Strongly homotopy Lie
+algebras", Comm. Algebra 1995): an L-module M is the algebra L x| M (l on
+L-inputs, k on inputs with one M element, zero otherwise) and a module
+morphism h is the algebra morphism id_L + h.  The module relations, compose
+and the restriction pullback along I (through I + id_M) are the parts of
+those sums with exactly one M input.  Embedding convention, private to this
+module: in each degree the basis of L x| M is that of L followed by that of
+M; keys and outputs are mapped back to module-slot-last form.
+
 All sums are truncated at the structures' max_arity; operations above it are
 identically zero, so the truncation is exact for structures that vanish in
 high arities.
@@ -20,11 +33,14 @@ high arities.
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .gfa import Basis, Elem, GradedSpace, SymMultiMap, unit, zero_map
-from .perm import BlockSpec, Perm, apply, slot_rotation, ordered_partitions, primed_unshuffles, unshuffles
+from .gfa import Basis, Elem, GradedSpace, Key, SymMultiMap, zero_map
+from .perm import apply, unshuffles  # noqa: F401  unused; bench/test_bench.py looks them up here
 
 __all__ = [
     "LinfAlgebra",
@@ -37,8 +53,10 @@ __all__ = [
     "modhom_residual",
     "residual",
     "first_failure",
+    "complete_bound",
     "identity_morphism",
     "compose",
+    "pullback",
 ]
 
 
@@ -157,226 +175,234 @@ class ModuleMorphism:
 
 
 # ---------------------------------------------------------------------------
-# unshuffle helpers (two-block families with possibly empty blocks)
+# the two kernels, on tables of maps over one space
 # ---------------------------------------------------------------------------
 
-def _two_block(n: int, p: int) -> Tuple[Perm, ...]:
-    """S(p, n-p) in S_n; empty blocks are dropped, S_0 = {empty perm}."""
-    sizes = tuple(s for s in (p, n - p) if s > 0)
-    return unshuffles(BlockSpec(sizes))
+# family[k-1] holds the arity-k map: sorted basis tuple -> (out degree, bits)
+Table = Dict[Key, Tuple[int, int]]
+Family = Tuple[Table, ...]
+_EMPTY: Table = {}
 
 
-def _two_block_anchored(n: int, p: int, position: int, value: int) -> Tuple[Perm, ...]:
-    return tuple(s for s in _two_block(n, p) if s(position) == value)
+def _at(family: Family, k: int) -> Table:
+    return family[k - 1] if 1 <= k <= len(family) else _EMPTY
 
 
-def _units(bs: Sequence[Basis]) -> Tuple[Elem, ...]:
-    return tuple(unit(b) for b in bs)
+def _getter(idx: Tuple[int, ...]):
+    """The sub-tuple at the given positions, as a fast callable."""
+    if len(idx) == 1:
+        p = idx[0]
+        return lambda t: (t[p],)
+    return operator.itemgetter(*idx) if idx else (lambda t: ())
+
+
+@lru_cache(maxsize=None)
+def _splits(n: int, i: int) -> Tuple[tuple, ...]:
+    """(take, leave) getters for each i-subset of n positions and its
+    complement, both in increasing order: the two-block unshuffles S(i, n-i)."""
+    return tuple((_getter(s), _getter(tuple(p for p in range(n) if p not in s)))
+                 for s in itertools.combinations(range(n), i))
+
+
+def _values_eval(table: Table, values: Tuple[Tuple[int, int], ...]) -> int:
+    """outer(*values), expanding every value's bits."""
+    pools = [[(d, i) for i in range(bits.bit_length()) if bits >> i & 1] for d, bits in values]
+    acc = 0
+    for combo in itertools.product(*pools):
+        got = table.get(tuple(sorted(combo)))
+        if got is not None:
+            acc ^= got[1]
+    return acc
+
+
+def _insertion(outer: Family, inner: Family, n: int, keys: Iterable[Key]) -> List[Tuple[Key, int]]:
+    """The insertion sum sum_{i+j=n+1} sum_{S(i,n-i)} outer_j(inner_i(..), ..)
+    at each canonical key, as (key, bits) for the keys where it is nonzero."""
+    live = [(_at(inner, i), _at(outer, n + 1 - i), _splits(n, i))
+            for i in range(1, n + 1) if _at(inner, i) and _at(outer, n + 1 - i)]
+    out: List[Tuple[Key, int]] = []
+    if not live:
+        return out
+    for key in keys:
+        bits, units = 0, tuple([(d, 1 << i) for d, i in key])
+        for tin, tout, splits in live:
+            for take, leave in splits:
+                v = tin.get(take(key))
+                if v is not None:
+                    bits ^= _values_eval(tout, (v,) + leave(units))
+        if bits:
+            out.append((key, bits))
+    return out
+
+
+def _partitions(n: int, least: int = 1) -> Iterator[Tuple[int, ...]]:
+    """Nondecreasing tuples of positive sizes adding up to n."""
+    if n == 0:
+        yield ()
+    for first in range(least, n + 1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _grouped(outer: Family, inner: Family, n: int, keys: Iterable[Key]) -> List[Tuple[Key, int]]:
+    """The grouped sum over set partitions {B_1..B_r} of the n inputs of
+    outer_r(inner_|B_1|(B_1), .., inner_|B_r|(B_r)) at each canonical key, as
+    (key, bits) for the keys where it is nonzero.
+
+    Partitions are built box by box, each box holding the smallest input not
+    yet placed, and a branch stops as soon as its box evaluates to zero.
+    Only box sizes that can still complete a live shape (outer_r and every
+    inner_s nonzero) are tried; that set is fixed before any key is seen.
+    """
+    shapes = [p for p in _partitions(n)
+              if _at(outer, len(p)) and all(_at(inner, s) for s in p)]
+    if not shapes:
+        return []
+    sizes = sorted({s for p in shapes for s in p})
+    # sorted sizes placed so far -> [(next size, its table, sizes placed then)]
+    subs = {c for p in shapes for r in range(len(p) + 1) for c in itertools.combinations(p, r)}
+    steps = {c: [(s, _at(inner, s), nxt) for s in sizes
+                 if (nxt := tuple(sorted(c + (s,)))) in subs] for c in subs}
+
+    def walk(rest: Key, placed: Tuple[int, ...], values: tuple) -> int:
+        if not rest:
+            return _values_eval(_at(outer, len(values)), values)
+        head, tail = rest[:1], rest[1:]
+        acc = 0
+        for s, table, nxt in steps[placed]:
+            for take, leave in _splits(len(tail), s - 1):
+                v = table.get(head + take(tail))
+                if v is not None:
+                    acc ^= walk(leave(tail), nxt, values + (v,))
+        return acc
+
+    return [(key, bits) for key, bits in ((key, walk(key, (), ())) for key in keys) if bits]
+
+
+# ---------------------------------------------------------------------------
+# structures as families, and the semidirect embedding
+# ---------------------------------------------------------------------------
+
+def _family(maps: Sequence[SymMultiMap]) -> Family:
+    """Tables of maps without a module slot."""
+    return tuple({key: (sum(b[0] for b in key) + m.shift, bits) for key, bits in m.entries()}
+                 for m in maps)
+
+
+def _embed(b: Basis, low: Mapping[int, int]) -> Basis:
+    """A module basis element in L x| M coordinates, low = dims of L."""
+    return (b[0], low.get(b[0], 0) + b[1])
+
+
+def _module_family(maps: Sequence[SymMultiMap], low: Mapping[int, int]) -> Family:
+    """Tables of module-slot-last maps over L in L x| M coordinates, low =
+    dims of L: the module input and the output bits sit past low."""
+    family = []
+    for m in maps:
+        table = {}
+        for key, bits in m.entries():
+            d = sum(b[0] for b in key) + m.shift
+            xs, x = key[:-1], _embed(key[-1], low)
+            pos = bisect_left(xs, x)
+            table[xs[:pos] + (x,) + xs[pos:]] = (d, bits << low.get(d, 0))
+        family.append(table)
+    return tuple(family)
+
+
+def _merged(*families: Family) -> Family:
+    """Arity by arity union of families with disjoint keys."""
+    top = max(len(f) for f in families)
+    return tuple({key: v for f in families for key, v in _at(f, k).items()}
+                 for k in range(1, top + 1))
+
+
+def _identity(space: GradedSpace, low_in: Mapping[int, int],
+              low_out: Mapping[int, int]) -> Family:
+    """The identity of one summand of semidirect spaces, at arity 1: its
+    basis sits past low_in in the source and past low_out in the target."""
+    return ({(_embed(b, low_in),): (b[0], 1 << _embed(b, low_out)[1]) for b in space.basis()},)
+
+
+def _semidirect(module: LinfModule) -> Family:
+    """The brackets of L x| M: l on L-inputs, k on one-M inputs."""
+    low = module.algebra.space.dims()
+    return _merged(_family(module.algebra.ops), _module_family(module.ops, low))
+
+
+def _one_module_keys(alg: GradedSpace, mod: GradedSpace, n: int) -> Iterator[Key]:
+    """Canonical arity-n keys of alg x| mod with exactly one mod element."""
+    low = alg.dims()
+    ms = [_embed(b, low) for b in mod.basis()]
+    for xs in itertools.combinations_with_replacement(alg.basis(), n - 1):
+        for x in ms:
+            pos = bisect_left(xs, x)
+            yield xs[:pos] + (x,) + xs[pos:]
+
+
+def _module_map(n: int, shift: int, alg: GradedSpace, cod: GradedSpace, mod: GradedSpace,
+                entries: Iterable[Tuple[Key, int]], low_out: Mapping[int, int]) -> SymMultiMap:
+    """The module-slot-last map of one-M semidirect entries: keys over
+    alg x| mod, output bits past low_out."""
+    low_in = alg.dims()
+
+    def back(key: Key, bits: int) -> Tuple[Key, int]:
+        pos = next(p for p, (d, i) in enumerate(key) if i >= low_in.get(d, 0))
+        d, i = key[pos]
+        out = sum(b[0] for b in key) + shift
+        return key[:pos] + key[pos + 1:] + ((d, i - low_in.get(d, 0)),), bits >> low_out.get(out, 0)
+
+    return SymMultiMap(n, shift, alg, cod, [back(k, b) for k, b in entries], last_space=mod)
 
 
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
 
-class _Memo:
-    """Cache of inner-map evaluations on sorted basis blocks, shared across
-    the unshuffle loop of one residual computation."""
-
-    def __init__(self) -> None:
-        self._cache: Dict[tuple, Elem] = {}
-
-    def eval(self, m: SymMultiMap, block: Tuple[Basis, ...]) -> Elem:
-        key = (id(m), block)
-        v = self._cache.get(key)
-        if v is None:
-            v = m.eval(_units(block))
-            self._cache[key] = v
-        return v
-
-
-def _collect(arity: int, shift: int, sym: GradedSpace, cod: GradedSpace,
-             last: Optional[GradedSpace], keys: Iterator[Tuple[Basis, ...]],
-             term_bits) -> SymMultiMap:
-    entries = []
-    for key in keys:
-        bits = term_bits(key)
-        if bits:
-            entries.append((key, bits))
-    return SymMultiMap(arity, shift, sym, cod, entries, last_space=last)
-
-
-def _algebra_keys(space: GradedSpace, n: int) -> Iterator[Tuple[Basis, ...]]:
-    return itertools.combinations_with_replacement(space.basis(), n)
-
-
-def _module_keys(alg: GradedSpace, mod: GradedSpace, n: int) -> Iterator[Tuple[Basis, ...]]:
-    for xs in itertools.combinations_with_replacement(alg.basis(), n - 1):
-        for mb in mod.basis():
-            yield xs + (mb,)
-
-
 def jacobi_residual(algebra: LinfAlgebra, n: int) -> SymMultiMap:
     """The arity-n Jacobi sum  sum_{i+j=n+1} sum_{sigma in S(i,n-i)}
     l_j(l_i(x_{sigma(1)}..x_{sigma(i)}), x_{sigma(i+1)}, ..)  as one map."""
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    memo = _Memo()
-
-    def term(bs: Tuple[Basis, ...]) -> int:
-        bits = 0
-        for i in range(1, n + 1):
-            j = n + 1 - i
-            li, lj = algebra.op(i), algebra.op(j)
-            if li.is_zero or lj.is_zero:
-                continue
-            for sigma in _two_block(n, i):
-                ys = apply(sigma, bs)
-                inner = memo.eval(li, ys[:i])
-                if inner.is_zero:
-                    continue
-                bits ^= lj.eval((inner,) + _units(ys[i:])).bits
-        return bits
-
-    return _collect(n, n - 3, algebra.space, algebra.space, None,
-                    _algebra_keys(algebra.space, n), term)
+    space, l = algebra.space, _family(algebra.ops)
+    keys = itertools.combinations_with_replacement(space.basis(), n)
+    return SymMultiMap(n, n - 3, space, space, _insertion(l, l, n, keys))
 
 
 def morphism_residual(mor: LinfMorphism, n: int) -> SymMultiMap:
     """Left side sum f_j(l_k ..) xor right side sum l'_r(f_{i_1} .. f_{i_r})
     of the morphism relation, as one arity-n map source^(x)n -> target."""
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    src, tgt = mor.source, mor.target
-    memo = _Memo()
-
-    def term(bs: Tuple[Basis, ...]) -> int:
-        bits = 0
-        for k in range(1, n + 1):
-            j = n + 1 - k
-            lk, fj = src.op(k), mor.comp(j)
-            if lk.is_zero or fj.is_zero:
-                continue
-            for sigma in _two_block(n, k):
-                ys = apply(sigma, bs)
-                inner = memo.eval(lk, ys[:k])
-                if inner.is_zero:
-                    continue
-                bits ^= fj.eval((inner,) + _units(ys[k:])).bits
-        for spec in ordered_partitions(n):
-            r = len(spec.sizes)
-            lr = tgt.op(r)
-            fs = [mor.comp(i) for i in spec.sizes]
-            if lr.is_zero or any(f.is_zero for f in fs):
-                continue
-            for tau in primed_unshuffles(spec):
-                ys = apply(tau, bs)
-                zs, off = [], 0
-                for size, f in zip(spec.sizes, fs):
-                    zs.append(memo.eval(f, ys[off:off + size]))
-                    off += size
-                if any(z.is_zero for z in zs):
-                    continue
-                bits ^= lr.eval(tuple(zs)).bits
-        return bits
-
-    return _collect(n, n - 2, src.space, tgt.space, None,
-                    _algebra_keys(src.space, n), term)
+    space, f = mor.source.space, _family(mor.comps)
+    basis = space.basis()
+    entries = (_insertion(f, _family(mor.source.ops), n,
+                          itertools.combinations_with_replacement(basis, n))
+               + _grouped(_family(mor.target.ops), f, n,
+                          itertools.combinations_with_replacement(basis, n)))
+    return SymMultiMap(n, n - 2, space, mor.target.space, entries)
 
 
 def module_residual(module: LinfModule, n: int) -> SymMultiMap:
-    """The module relation at arity n: the anchored sums
-    sum_{p<n, sigma(n)=n} k_q(l_p .. ) + sum_{sigma(p)=n} k_q(delta(k_p ..))
-    as one arity-n map (module slot last)."""
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    alg = module.algebra
-    memo = _Memo()
+    """The module relation at arity n: the Jacobi sum on L x| M over inputs
+    with exactly one module element, as one map (module slot last)."""
+    alg, mod = module.algebra.space, module.space
+    lk = _semidirect(module)
+    entries = _insertion(lk, lk, n, _one_module_keys(alg, mod, n))
+    return _module_map(n, n - 3, alg, mod, mod, entries, alg.dims())
 
-    def term(key: Tuple[Basis, ...]) -> int:
-        bits = 0
-        for p in range(1, n):  # p < n
-            q = n + 1 - p
-            lp, kq = alg.op(p), module.op(q)
-            if lp.is_zero or kq.is_zero:
-                continue
-            for sigma in _two_block_anchored(n, p, n, n):
-                ys = apply(sigma, key)
-                inner = memo.eval(lp, ys[:p])
-                if inner.is_zero:
-                    continue
-                bits ^= kq.eval((inner,) + _units(ys[p:])).bits
-        for p in range(1, n + 1):
-            q = n + 1 - p
-            kp, kq = module.op(p), module.op(q)
-            if kp.is_zero or kq.is_zero:
-                continue
-            delta = slot_rotation(n, p)
-            for sigma in _two_block_anchored(n, p, p, n):
-                ys = apply(sigma, key)
-                inner = memo.eval(kp, ys[:p])  # ys[p-1] is the module element
-                if inner.is_zero:
-                    continue
-                bits ^= kq.eval(apply(delta, (inner,) + _units(ys[p:]))).bits
-        return bits
 
-    return _collect(n, n - 3, alg.space, module.space, module.space,
-                    _module_keys(alg.space, module.space, n), term)
+def _plus_identity(h: ModuleMorphism) -> Family:
+    """id_L + h as an algebra morphism L x| M -> L x| M'."""
+    alg = h.source.algebra.space
+    low = alg.dims()
+    return _merged(_identity(alg, {}, {}), _module_family(h.comps, low))
 
 
 def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
-    """The module morphism relation at arity n (module slot last):
-    sum h_j(l_i ..) + sum h_j(delta(k_i ..)) + sum k'_r(.., h_s(..))."""
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    src, tgt = h.source, h.target
-    alg = src.algebra
-    memo = _Memo()
-
-    def term(key: Tuple[Basis, ...]) -> int:
-        xs, mb = key[:-1], key[-1]
-        bits = 0
-        for i in range(1, n):  # i < n
-            j = n + 1 - i
-            li, hj = alg.op(i), h.comp(j)
-            if li.is_zero or hj.is_zero:
-                continue
-            for sigma in _two_block_anchored(n, i, n, n):
-                ys = apply(sigma, key)
-                inner = memo.eval(li, ys[:i])
-                if inner.is_zero:
-                    continue
-                bits ^= hj.eval((inner,) + _units(ys[i:])).bits
-        for i in range(1, n + 1):
-            j = n + 1 - i
-            ki, hj = src.op(i), h.comp(j)
-            if ki.is_zero or hj.is_zero:
-                continue
-            delta = slot_rotation(n, i)
-            for sigma in _two_block_anchored(n, i, i, n):
-                ys = apply(sigma, key)
-                inner = memo.eval(ki, ys[:i])
-                if inner.is_zero:
-                    continue
-                bits ^= hj.eval(apply(delta, (inner,) + _units(ys[i:]))).bits
-        for s in range(1, n + 1):
-            r = n + 1 - s
-            hs, kr = h.comp(s), tgt.op(r)
-            if hs.is_zero or kr.is_zero:
-                continue
-            # tau unshuffles the n-1 algebra inputs into (n-s, s-1); the
-            # trailing block and the module element feed h_s, the leading
-            # block and h_s's output feed k'_r.
-            sizes = tuple(sz for sz in (n - s, s - 1) if sz > 0)
-            for tau in unshuffles(BlockSpec(sizes)):
-                ys = apply(tau, xs)
-                inner = memo.eval(hs, ys[n - s:] + (mb,))
-                if inner.is_zero:
-                    continue
-                bits ^= kr.eval(_units(ys[:n - s]) + (inner,)).bits
-        return bits
-
-    return _collect(n, n - 2, alg.space, tgt.space, src.space,
-                    _module_keys(alg.space, src.space, n), term)
+    """The module morphism relation at arity n (module slot last): the
+    morphism relation of id_L + h over inputs with one module element,
+    sum h_j(l_i ..) + sum h_j(k_i ..) + sum k'_r(.., h_s(..))."""
+    alg, mod = h.source.algebra.space, h.source.space
+    F = _plus_identity(h)
+    entries = (_insertion(F, _semidirect(h.source), n, _one_module_keys(alg, mod, n))
+               + _grouped(_semidirect(h.target), F, n, _one_module_keys(alg, mod, n)))
+    return _module_map(n, n - 2, alg, h.target.space, mod, entries, alg.dims())
 
 
 def residual(structure, n: int) -> SymMultiMap:
@@ -403,8 +429,31 @@ def first_failure(structure, up_to: int) -> Optional[Tuple[int, tuple, Elem]]:
     return None
 
 
+def complete_bound(structure) -> int:
+    """An arity above which every residual of the structure is zero by
+    construction, from its highest nonzero operations: a summand at arity n
+    composes operations whose arities add up to n + 1 (or, for the r-fold
+    products of a morphism, to n).  Checking n <= this bound is exhaustive."""
+    def top(maps: Sequence[SymMultiMap]) -> int:
+        return max((k for k, m in enumerate(maps, start=1) if not m.is_zero), default=0)
+
+    st = structure
+    if isinstance(st, LinfAlgebra):
+        bound = 2 * top(st.ops) - 1
+    elif isinstance(st, LinfMorphism):
+        bound = max(top(st.source.ops) + top(st.comps) - 1, top(st.target.ops) * top(st.comps))
+    elif isinstance(st, LinfModule):
+        bound = max(top(st.algebra.ops) + top(st.ops), 2 * top(st.ops)) - 1
+    elif isinstance(st, ModuleMorphism):
+        bound = max(top(st.source.algebra.ops), top(st.source.ops), top(st.target.ops)) \
+            + top(st.comps) - 1
+    else:
+        raise TypeError(f"no defining relation for {type(st).__name__}")
+    return max(bound, 1)
+
+
 # ---------------------------------------------------------------------------
-# identity and composition of module morphisms
+# identity, composition and pullback of module maps
 # ---------------------------------------------------------------------------
 
 def identity_morphism(module: LinfModule) -> ModuleMorphism:
@@ -418,7 +467,8 @@ def identity_morphism(module: LinfModule) -> ModuleMorphism:
 
 
 def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
-    """(g o f)_n = sum_{i+j=n+1} sum_{sigma(i)=n} g_j(delta(f_i .. )).
+    """(g o f)_n = sum_{i+j=n+1} sum_{sigma(i)=n} g_j(delta(f_i .. )): the one
+    module element part of the grouped sum of id + g after id + f.
 
     Component n has degree n-1, since (i-1) + (j-1) = n-1.
     """
@@ -428,26 +478,27 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     if alg != g.source.algebra:
         raise ValueError("compose requires morphisms over the same algebra")
     N = min(f.max_arity, g.max_arity)
-    memo = _Memo()
-    comps: dict[int, SymMultiMap] = {}
-    for n in range(1, N + 1):
-
-        def term(key: Tuple[Basis, ...], n: int = n) -> int:
-            bits = 0
-            for i in range(1, n + 1):
-                j = n + 1 - i
-                fi, gj = f.comp(i), g.comp(j)
-                if fi.is_zero or gj.is_zero:
-                    continue
-                delta = slot_rotation(n, i)
-                for sigma in _two_block_anchored(n, i, i, n):
-                    ys = apply(sigma, key)
-                    inner = memo.eval(fi, ys[:i])
-                    if inner.is_zero:
-                        continue
-                    bits ^= gj.eval(apply(delta, (inner,) + _units(ys[i:]))).bits
-            return bits
-
-        comps[n] = _collect(n, n - 1, alg.space, g.target.space, f.source.space,
-                            _module_keys(alg.space, f.source.space, n), term)
+    G, F = _plus_identity(g), _plus_identity(f)
+    space, mod, low = alg.space, f.source.space, alg.space.dims()
+    comps = {n: _module_map(n, n - 1, space, g.target.space, mod,
+                            _grouped(G, F, n, _one_module_keys(space, mod, n)), low)
+             for n in range(1, N + 1)}
     return ModuleMorphism.build(f.source, g.target, N, comps)
+
+
+def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap]) -> Tuple[SymMultiMap, ...]:
+    """Module-slot-last maps over morphism.target pulled back along the
+    morphism I: L' -> L, arity by arity up to len(maps):
+
+        (I* m)_n = sum over set partitions {B_1..B_r} of the n-1 algebra
+                   inputs of m_{r+1}(I_|B_1|(B_1), .., I_|B_r|(B_r), m),
+
+    the one module element part of the grouped sum of maps after I + id_M.
+    """
+    src, low = morphism.source.space, morphism.target.space.dims()
+    mod = maps[0].last_space
+    inner = _merged(_family(morphism.comps), _identity(mod, src.dims(), low))
+    outer = _module_family(maps, low)
+    return tuple(_module_map(n, m.shift, src, m.codomain, mod,
+                             _grouped(outer, inner, n, _one_module_keys(src, mod, n)), low)
+                 for n, m in enumerate(maps, start=1))

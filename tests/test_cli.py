@@ -4,8 +4,10 @@ import pytest
 
 from linfty import fixtures
 from linfty.cli import main
-from linfty.jsonio import parse_bundle, serialize_bundle
+from linfty.gfa import GradedSpace, SymMultiMap
+from linfty.jsonio import Bundle, parse_bundle, serialize_bundle
 from linfty.restrict import classical_restriction
+from linfty.structures import LinfAlgebra
 
 
 @pytest.fixture()
@@ -41,6 +43,27 @@ def test_verify_flipped_bit_exit_one_with_witness(fixture_dir, capsys, tmp_path)
     failing = [r for r in report["results"] if not r["ok"]]
     assert failing and failing[0]["name"] == "M2"
     assert "witness" in failing[0] and failing[0]["witness"]["arity"] >= 1
+
+
+def test_verify_default_bound_is_complete(tmp_path, capsys):
+    # only l4 is stored: l4(a,a,a,a) = c, l4(a,a,a,c) = e.  The first
+    # nonzero residual is at arity 7, past "largest stored arity + 2"; the
+    # complete bound 2*4 - 1 = 7 finds it, and an explicit lower bound warns.
+    V = GradedSpace({0: 1, 2: 1, 4: 1})
+    a, c = (0, 0), (2, 0)
+    l4 = SymMultiMap(4, 2, V, V, [((a, a, a, a), 1), ((a, a, a, c), 1)])
+    path = tmp_path / "l4.json"
+    path.write_text(serialize_bundle(Bundle({"V": V}, {"l4only": LinfAlgebra.build(V, 4, {4: l4})})))
+    assert main(["verify", str(path), "--report", "-"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  l4only (algebra): arity 7, inputs [(0, 0), (0, 0), (0, 0), (0, 0), " \
+           "(0, 0), (0, 0), (0, 0)] -> (4,0)" in out
+    result = json.loads(out[out.index("{"):])["results"][0]
+    assert result["exhaustive"] and result["max_arity"] == 7
+    assert main(["verify", str(path), "--max-arity", "6", "--report", "-"]) == 0
+    captured = capsys.readouterr()
+    assert "below the complete bound 7" in captured.err
+    assert json.loads(captured.out[captured.out.index("{"):])["results"][0]["exhaustive"] is False
 
 
 def test_verify_missing_reference_exit_two(tmp_path, capsys):
