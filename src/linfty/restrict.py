@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .gfa import Elem, SymMultiMap, unit
-from .perm import primed_unshuffles  # noqa: F401  unused; bench/test_bench.py looks it up here
 from .structures import (
     LinfAlgebra,
     LinfModule,

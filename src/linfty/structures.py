@@ -40,7 +40,6 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .gfa import Basis, Elem, GradedSpace, Key, SymMultiMap, zero_map
-from .perm import apply, unshuffles  # noqa: F401  unused; bench/test_bench.py looks them up here
 
 __all__ = [
     "LinfAlgebra",

@@ -62,6 +62,16 @@ def test_lemma4_rejects_small_n():
 
 
 def test_naive_residual_matches_optimized_on_random_structures():
+    # a module space sharing the algebra's 2-dimensional degree, and a module
+    # morphism into a module on the algebra's own space
+    rng = random.Random(42)
+    V = GradedSpace({0: 2, 1: 1})
+    W = GradedSpace({0: 1, 1: 1})
+    alg = random_algebra(rng, V, 4)
+    mor = random_morphism(rng, alg, random_algebra(rng, W, 4), 4)
+    mod = random_module(rng, alg, W, 4)
+    hom = random_modhom(rng, mod, random_module(rng, alg, V, 4), 4)
+    shared = (alg, mor, mod, hom)
     # module spaces with degrees the algebra lacks (-2, 2) and lacking some
     # of its degrees (-1, 1), a module morphism between different module
     # spaces, and operations up to arity 4 checked up to arity 5; this seed
@@ -75,7 +85,8 @@ def test_naive_residual_matches_optimized_on_random_structures():
                           up_to=4)
     mod = random_module(rng, alg, W, 5, up_to=4)
     hom = random_modhom(rng, mod, random_module(rng, alg, U, 5, up_to=4), 5, up_to=4)
-    for st in (alg, mor, mod, hom):
+    gapped = (alg, mor, mod, hom)
+    for st in shared + gapped:
         for n in range(1, 6):
             assert naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)
 
