@@ -90,6 +90,8 @@ def _witness_doc(n: int, key: tuple, value: Elem) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.max_arity is not None and args.max_arity < 1:
+        raise ValueError(f"--max-arity must be >= 1, got {args.max_arity}")
     bundle = _merge(_read(args.paths))
     items = [(name, st) for name, st in sorted(bundle.structures.items())
              if args.kind in (None, _KIND_NAMES[type(st)])]
@@ -98,7 +100,7 @@ def cmd_verify(args) -> int:
         return INPUT_ERROR
     for i, (name, st) in enumerate(items):
         bound = complete_bound(st)
-        N = args.max_arity or bound
+        N = bound if args.max_arity is None else args.max_arity
         if N < bound:
             print(f"warning: {name}: --max-arity {N} is below the complete bound {bound}; "
                   "the check is not exhaustive", file=sys.stderr)

@@ -12,9 +12,13 @@ the arity-n multilinear map equal to the (F2) sum of both sides, which is the
 zero map exactly when the relation holds at arity n.  Residuals are returned
 as maps rather than booleans so that failures carry a witness basis tuple.
 
-Every sum is one of two kernels: the insertion sum
-sum_{i+j=n+1} sum_{S(i,n-i)} outer_j(inner_i(..), ..) and the grouped sum
-over set partitions of the inputs of outer_r(inner(B_1), .., inner(B_r)).
+Every sum is one of two kernels.  The insertion sum
+sum_{i+j=n+1} sum_{S(i,n-i)} outer_j(inner_i(..), ..) pairs stored entries,
+not keys: inner_i(A) meets outer_j(B + e) for each basis element e of its
+value and lands on A u B prod_b C(m_A(b) + m_B(b), m_A(b)) times (m_X(b) the
+multiplicity of b in X), an odd count exactly when m_A(b) & m_B(b) == 0 for
+every b (Kummer).  The grouped sum over set partitions of the inputs of
+outer_r(inner(B_1), .., inner(B_r)) walks the canonical keys.
 Jacobi is one insertion sum, the morphism relation an insertion plus a
 grouped sum.  Modules reduce to algebras (Lada-Markl, "Strongly homotopy Lie
 algebras", Comm. Algebra 1995): an L-module M is the algebra L x| M (l on
@@ -37,7 +41,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .gfa import Basis, Elem, GradedSpace, Key, SymMultiMap, zero_map
 
@@ -214,24 +218,68 @@ def _values_eval(table: Table, values: Tuple[Tuple[int, int], ...]) -> int:
     return acc
 
 
-def _insertion(outer: Family, inner: Family, n: int, keys: Iterable[Key]) -> List[Tuple[Key, int]]:
+def _multisets(elements: Iterable[Basis], n: int):
+    """(code, decode) for multisets of at most n of the given basis elements:
+    code(A) holds m_A(b) in a field of n.bit_length() bits per element b, so
+    code(A) & code(B) == 0 exactly when every m_A(b) & m_B(b) == 0, and then
+    code(A u B) = code(A) | code(B).  decode gives back the sorted tuple."""
+    elems = sorted(set(elements))
+    width = n.bit_length()
+    field = {b: 1 << (k * width) for k, b in enumerate(elems)}
+    mask = (1 << width) - 1
+
+    def code(key: Key) -> int:
+        return sum(map(field.__getitem__, key))
+
+    def decode(c: int) -> Key:
+        out: List[Basis] = []
+        for b in elems:
+            if c & mask:
+                out += [b] * (c & mask)
+            c >>= width
+            if not c:
+                break
+        return tuple(out)
+
+    return code, decode
+
+
+def _insertion(outer: Family, inner: Family, n: int,
+               keep: Optional[Callable[[Key], bool]] = None) -> List[Tuple[Key, int]]:
     """The insertion sum sum_{i+j=n+1} sum_{S(i,n-i)} outer_j(inner_i(..), ..)
-    at each canonical key, as (key, bits) for the keys where it is nonzero."""
-    live = [(_at(inner, i), _at(outer, n + 1 - i), _splits(n, i))
+    as (key, bits) for the canonical keys where it is nonzero and keep(key)
+    holds, if given.
+
+    Each entry K of outer_j is indexed once under each element e it holds,
+    as B = K minus one e.  An entry A -> (d, bits) of inner_i meets every B
+    under e = (d, t), t a set bit of bits, and adds the output of K to A u B
+    once per split of A u B that takes A: prod_b C(m_A(b) + m_B(b), m_A(b))
+    times, which by Kummer's theorem is odd exactly when code(A) & code(B)
+    == 0 (see _multisets).  Disjoint A and B always count.
+    """
+    live = [(_at(inner, i), _at(outer, n + 1 - i))
             for i in range(1, n + 1) if _at(inner, i) and _at(outer, n + 1 - i)]
-    out: List[Tuple[Key, int]] = []
     if not live:
-        return out
-    for key in keys:
-        bits, units = 0, tuple([(d, 1 << i) for d, i in key])
-        for tin, tout, splits in live:
-            for take, leave in splits:
-                v = tin.get(take(key))
-                if v is not None:
-                    bits ^= _values_eval(tout, (v,) + leave(units))
-        if bits:
-            out.append((key, bits))
-    return out
+        return []
+    code, decode = _multisets((b for tin, tout in live for t in (tin, tout)
+                               for key in t for b in key), n)
+    acc: Dict[int, int] = {}
+    for tin, tout in live:
+        under: Dict[Basis, List[Tuple[int, int]]] = {}
+        for key, (_, bits) in tout.items():
+            for p, e in enumerate(key):
+                if not p or key[p - 1] != e:
+                    under.setdefault(e, []).append((code(key[:p] + key[p + 1:]), bits))
+        for key, (d, bits) in tin.items():
+            a = code(key)
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                for b, ob in under.get((d, low.bit_length() - 1), ()):
+                    if not a & b:
+                        acc[a | b] = acc.get(a | b, 0) ^ ob
+    out = [(decode(c), bits) for c, bits in acc.items() if bits]
+    return out if keep is None else [(key, bits) for key, bits in out if keep(key)]
 
 
 def _partitions(n: int, least: int = 1) -> Iterator[Tuple[int, ...]]:
@@ -338,6 +386,11 @@ def _one_module_keys(alg: GradedSpace, mod: GradedSpace, n: int) -> Iterator[Key
             yield xs[:pos] + (x,) + xs[pos:]
 
 
+def _one_module(low: Mapping[int, int]):
+    """Whether a key over L x| M (low = dims of L) has exactly one M element."""
+    return lambda key: sum(i >= low.get(d, 0) for d, i in key) == 1
+
+
 def _module_map(n: int, shift: int, alg: GradedSpace, cod: GradedSpace, mod: GradedSpace,
                 entries: Iterable[Tuple[Key, int]], low_out: Mapping[int, int]) -> SymMultiMap:
     """The module-slot-last map of one-M semidirect entries: keys over
@@ -357,32 +410,37 @@ def _module_map(n: int, shift: int, alg: GradedSpace, cod: GradedSpace, mod: Gra
 # residuals
 # ---------------------------------------------------------------------------
 
+def _check_arity(n: int) -> None:
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+
+
 def jacobi_residual(algebra: LinfAlgebra, n: int) -> SymMultiMap:
     """The arity-n Jacobi sum  sum_{i+j=n+1} sum_{sigma in S(i,n-i)}
     l_j(l_i(x_{sigma(1)}..x_{sigma(i)}), x_{sigma(i+1)}, ..)  as one map."""
+    _check_arity(n)
     space, l = algebra.space, _family(algebra.ops)
-    keys = itertools.combinations_with_replacement(space.basis(), n)
-    return SymMultiMap(n, n - 3, space, space, _insertion(l, l, n, keys))
+    return SymMultiMap(n, n - 3, space, space, _insertion(l, l, n))
 
 
 def morphism_residual(mor: LinfMorphism, n: int) -> SymMultiMap:
     """Left side sum f_j(l_k ..) xor right side sum l'_r(f_{i_1} .. f_{i_r})
     of the morphism relation, as one arity-n map source^(x)n -> target."""
+    _check_arity(n)
     space, f = mor.source.space, _family(mor.comps)
-    basis = space.basis()
-    entries = (_insertion(f, _family(mor.source.ops), n,
-                          itertools.combinations_with_replacement(basis, n))
+    entries = (_insertion(f, _family(mor.source.ops), n)
                + _grouped(_family(mor.target.ops), f, n,
-                          itertools.combinations_with_replacement(basis, n)))
+                          itertools.combinations_with_replacement(space.basis(), n)))
     return SymMultiMap(n, n - 2, space, mor.target.space, entries)
 
 
 def module_residual(module: LinfModule, n: int) -> SymMultiMap:
     """The module relation at arity n: the Jacobi sum on L x| M over inputs
     with exactly one module element, as one map (module slot last)."""
+    _check_arity(n)
     alg, mod = module.algebra.space, module.space
     lk = _semidirect(module)
-    entries = _insertion(lk, lk, n, _one_module_keys(alg, mod, n))
+    entries = _insertion(lk, lk, n, _one_module(alg.dims()))
     return _module_map(n, n - 3, alg, mod, mod, entries, alg.dims())
 
 
@@ -397,9 +455,10 @@ def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
     """The module morphism relation at arity n (module slot last): the
     morphism relation of id_L + h over inputs with one module element,
     sum h_j(l_i ..) + sum h_j(k_i ..) + sum k'_r(.., h_s(..))."""
+    _check_arity(n)
     alg, mod = h.source.algebra.space, h.source.space
     F = _plus_identity(h)
-    entries = (_insertion(F, _semidirect(h.source), n, _one_module_keys(alg, mod, n))
+    entries = (_insertion(F, _semidirect(h.source), n, _one_module(alg.dims()))
                + _grouped(_semidirect(h.target), F, n, _one_module_keys(alg, mod, n)))
     return _module_map(n, n - 2, alg, h.target.space, mod, entries, alg.dims())
 

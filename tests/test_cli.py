@@ -66,6 +66,14 @@ def test_verify_default_bound_is_complete(tmp_path, capsys):
     assert json.loads(captured.out[captured.out.index("{"):])["results"][0]["exhaustive"] is False
 
 
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_verify_max_arity_below_one_exit_two(fixture_dir, capsys, bound):
+    assert main(["verify", str(fixture_dir / "heisenberg-adjoint.json"), "--max-arity", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-arity must be >= 1, got {bound}\n"
+
+
 def test_verify_missing_reference_exit_two(tmp_path, capsys):
     doc = {"spaces": {"V": {"dims": {"0": 1}}},
            "structures": {"m": {"kind": "module", "algebra": "missing",

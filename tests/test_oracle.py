@@ -91,6 +91,22 @@ def test_naive_residual_matches_optimized_on_random_structures():
             assert naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)
 
 
+def test_naive_residual_matches_on_repeated_keys():
+    # one basis element per degree, so keys repeat elements heavily and the
+    # fast path takes A out of A u B in a count of ways that is even for
+    # some shared elements and odd for others
+    rng = random.Random(5)
+    V = GradedSpace({-1: 1, 0: 1, 1: 1})
+    alg = random_algebra(rng, V, 5, up_to=4)
+    mor = random_morphism(rng, alg, random_algebra(rng, V, 5, up_to=4), 5, up_to=4)
+    mod = random_module(rng, alg, GradedSpace({-1: 1, 0: 1}), 5, up_to=4)
+    hom = random_modhom(rng, mod, random_module(rng, alg, GradedSpace({0: 1, 1: 1}), 5, up_to=4),
+                        5, up_to=4)
+    for st in (alg, mor, mod, hom):
+        for n in range(1, 6):
+            assert naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)
+
+
 def test_naive_residual_matches_on_fixtures():
     for name in ("heisenberg-adjoint", "abelian-i2"):
         b = fixtures.build(name)

@@ -18,6 +18,8 @@ from linfty.structures import (
     module_residual,
     morphism_residual,
     residual,
+    _insertion,
+    _splits,
 )
 from helpers import random_algebra, random_modhom, random_module, random_morphism, set_partitions
 
@@ -352,6 +354,35 @@ def test_compose_requires_matching_modules():
 # ---------------------------------------------------------------------------
 # residual plumbing
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_residuals_reject_arity_below_one(n):
+    kinds = set()
+    for name in fixtures.FIXTURES:
+        for st in fixtures.build(name).structures.values():
+            kinds.add(type(st))
+            with pytest.raises(ValueError, match="arity must be >= 1"):
+                residual(st, n)
+    assert kinds == {LinfAlgebra, LinfMorphism, LinfModule, ModuleMorphism}
+
+
+def test_insertion_parity_matches_split_counting():
+    # with inner_i = {A: e} and outer_j = {B + e: 1} the insertion sum at
+    # A u B is the number of splits of A u B whose taken part is A, mod 2;
+    # A and B that share elements are counted too (x into (x, x): 3 splits)
+    xs = ((0, 0), (0, 1), (1, 0))
+    e = (5, 0)  # stored as its degree and bits, (5, 1)
+    for n in range(1, 7):
+        for i in range(1, n + 1):
+            for A in itertools.combinations_with_replacement(xs, i):
+                for B in itertools.combinations_with_replacement(xs, n - i):
+                    R = tuple(sorted(A + B))
+                    count = sum(take(R) == A for take, _ in _splits(n, i))
+                    inner = tuple({A: (5, 1)} if k == i else {} for k in range(1, n + 1))
+                    outer = tuple({tuple(sorted(B + (e,))): (0, 1)} if k == n + 1 - i else {}
+                                  for k in range(1, n + 1))
+                    assert dict(_insertion(outer, inner, n)) == ({R: 1} if count % 2 else {})
+
 
 def test_residual_dispatch_and_first_failure():
     b = fixtures.build("abelian-i2")
