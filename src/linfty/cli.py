@@ -13,6 +13,7 @@ caps the worker count used for per-structure verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -285,7 +286,9 @@ def _anchor(text: str) -> Tuple[int, int]:
         raise argparse.ArgumentTypeError("anchor must look like P=V") from None
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and reused by later calls."""
     parser = argparse.ArgumentParser(
         prog="linfty",
         description="verify and transform L-infinity structures over F2")

@@ -1,7 +1,6 @@
 """
-Independent brute-force verifiers.
-
-Two things live here, both deliberately unoptimized:
+Independent brute-force verifiers.  They share no code with the fast path:
+from ``structures.py`` they import only the four structure classes.
 
 1. A combinatorial oracle for the two-presentation unshuffle identity: both
    displayed sums are expanded into multisets of *labeled operators* (the
@@ -10,21 +9,26 @@ Two things live here, both deliberately unoptimized:
    strictly stronger than value-level equality, where F2 cancellations could
    mask a mismatch.
 
-2. A naive reference evaluator for every defining relation: all sums expanded
-   term by term with no shared subexpressions, evaluated on every ordered
-   basis tuple directly, then folded onto canonical tuples (raising if two
-   orderings of the same tuple ever disagree).  Used for differential testing
-   against the optimized residuals.
+2. A naive reference evaluator for every defining relation: evaluated on
+   every ordered basis tuple directly, every summand of every sum expanded
+   separately with its own canonicalization and table lookup, then folded
+   onto canonical tuples (raising if two orderings of the same tuple ever
+   disagree).  Used for differential testing against the optimized
+   residuals.  What keeps it affordable changes none of that: each map's
+   table is built once per call, permutations are index tuples, and a
+   summand whose inner value is zero skips its outer lookups, which would
+   all read zero.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from .gfa import Basis, Elem, SymMultiMap
+from .gfa import Basis, SymMultiMap
 from .perm import BlockSpec, Perm, apply, primed_unshuffles, slot_rotation, unshuffles
 from .structures import LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism
 
@@ -151,114 +155,174 @@ def lemma4_equal(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # naive reference evaluation
 # ---------------------------------------------------------------------------
+#
+# Every argument is a pool of basis elements: a basis input is a pool of one,
+# a computed value the pool of its set bits, whose degree comes from the
+# inputs and the shift.  A map is evaluated by xoring one canonical lookup per
+# combination of its pools.  Permutations are 0-based index tuples:
+# tuple(xs[k] for k in idx) == apply(sigma, xs).
 
-def _naive_eval(m: SymMultiMap, args: Sequence[Elem]) -> Elem:
+@functools.lru_cache(maxsize=None)
+def _indices(sizes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """The unshuffles of the given block sizes, zero sizes dropped."""
+    spec = BlockSpec(tuple(s for s in sizes if s > 0))
+    return tuple(tuple(k - 1 for k in sigma.images) for sigma in unshuffles(spec))
+
+
+@functools.lru_cache(maxsize=None)
+def _anchored(n: int, p: int, position: int) -> Tuple[Tuple[int, ...], ...]:
+    """The (p, n - p)-unshuffles with sigma(position) == n."""
+    return tuple(idx for idx in _indices((p, n - p)) if idx[position - 1] == n - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _primed_boxes(comp: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The primed unshuffles of a nondecreasing composition, each cut into
+    its boxes."""
+    return tuple(_split(tuple(k - 1 for k in tau.images), comp) for tau in _primed0(comp))
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation(n: int, p: int) -> Tuple[int, ...]:
+    return tuple(k - 1 for k in slot_rotation(n, p).images)
+
+
+class _Table:
+    """A map's lookup table, built once per naive_residual call."""
+
+    __slots__ = ("map", "get", "n_sym", "shift")
+
+    def __init__(self, m: SymMultiMap):
+        # holding m keeps its id from being reused while the table is cached
+        self.map = m
+        self.get = dict(m.entries()).get
+        self.n_sym = m.arity - 1 if m.last_space is not None else m.arity
+        self.shift = m.shift
+
+
+def _tables():
+    """A lookup from maps to their tables, keyed by id."""
+    cache: Dict[int, _Table] = {}
+
+    def table(m: SymMultiMap) -> _Table:
+        t = cache.get(id(m))
+        if t is None:
+            t = cache[id(m)] = _Table(m)
+        return t
+
+    return table
+
+
+def _at(t: _Table, xs: Tuple[Basis, ...]) -> int:
+    """The map on basis elements: one canonical lookup."""
+    return t.get(tuple(sorted(xs[:t.n_sym])) + xs[t.n_sym:], 0)
+
+
+def _pool(t: _Table, xs: Tuple[Basis, ...], bits: int) -> Tuple[Basis, ...]:
+    """The basis elements of the value bits of t at the basis inputs xs."""
+    degree = sum(b[0] for b in xs) + t.shift
+    pool = []
+    while bits:
+        low = bits & -bits
+        pool.append((degree, low.bit_length() - 1))
+        bits ^= low
+    return tuple(pool)
+
+
+def _eval(t: _Table, pools: Sequence[Tuple[Basis, ...]]) -> int:
     """Direct multilinear expansion with its own canonicalization and lookup."""
-    table = dict(m.entries())
-    n_sym = m.arity - 1 if m.last_space is not None else m.arity
-    out_deg = sum(a.degree for a in args) + m.shift
-    acc = 0
-    pools = [[(a.degree, i) for i in a.indices()] for a in args]
+    acc, k = 0, t.n_sym
     for combo in itertools.product(*pools):
-        key = tuple(sorted(combo[:n_sym])) + tuple(combo[n_sym:])
-        acc ^= table.get(key, 0)
-    return Elem(out_deg, acc)
+        acc ^= t.get(tuple(sorted(combo[:k])) + combo[k:], 0)
+    return acc
 
 
-def _u(b: Basis) -> Elem:
-    return Elem(b[0], 1 << b[1])
+# Each relation is a list of insertion summands and a list of grouped
+# summands, built once per naive_residual call.  An insertion summand
+# (inner, outer, left, right, order) is outer(inner(key[left]), key[right]),
+# its slots rearranged by order if given.  A grouped summand
+# (outer, ((inner_1, box_1), ...)) is
+# outer(inner_1(key[box_1]), ..., inner_r(key[box_r])).
 
-
-def _us(bs: Sequence[Basis]) -> Tuple[Elem, ...]:
-    return tuple(_u(b) for b in bs)
-
-
-def _two_block_all(n: int, p: int) -> Tuple[Perm, ...]:
-    return unshuffles(BlockSpec(tuple(s for s in (p, n - p) if s > 0)))
-
-
-def _naive_jacobi(alg: LinfAlgebra, n: int, bs: Tuple[Basis, ...]) -> int:
+def _inserted(summands: list, key: Tuple[Basis, ...]) -> int:
     bits = 0
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        for sigma in _two_block_all(n, i):
-            ys = apply(sigma, bs)
-            inner = _naive_eval(alg.op(i), _us(ys[:i]))
-            bits ^= _naive_eval(alg.op(j), (inner,) + _us(ys[i:])).bits
+    for inner, outer, left, right, order in summands:
+        xs = tuple(key[k] for k in left)
+        value = _at(inner, xs)
+        if value:
+            pools = (_pool(inner, xs, value),) + tuple((key[k],) for k in right)
+            if order is not None:
+                pools = tuple(pools[k] for k in order)
+            bits ^= _eval(outer, pools)
     return bits
 
 
-def _naive_morphism(mor: LinfMorphism, n: int, bs: Tuple[Basis, ...]) -> int:
+def _grouped(summands: list, key: Tuple[Basis, ...]) -> int:
     bits = 0
+    for outer, boxes in summands:
+        pools = []
+        for inner, box in boxes:
+            xs = tuple(key[k] for k in box)
+            value = _at(inner, xs)
+            if not value:
+                break
+            pools.append(_pool(inner, xs, value))
+        else:
+            bits ^= _eval(outer, pools)
+    return bits
+
+
+def _naive_jacobi(alg: LinfAlgebra, n: int, table) -> Tuple[list, list]:
+    summands = []
+    for i in range(1, n + 1):
+        inner, outer = table(alg.op(i)), table(alg.op(n + 1 - i))
+        summands += [(inner, outer, idx[:i], idx[i:], None) for idx in _indices((i, n - i))]
+    return summands, []
+
+
+def _naive_morphism(mor: LinfMorphism, n: int, table) -> Tuple[list, list]:
+    left = []
     for k in range(1, n + 1):
-        j = n + 1 - k
-        for sigma in _two_block_all(n, k):
-            ys = apply(sigma, bs)
-            inner = _naive_eval(mor.source.op(k), _us(ys[:k]))
-            bits ^= _naive_eval(mor.comp(j), (inner,) + _us(ys[k:])).bits
+        inner, outer = table(mor.source.op(k)), table(mor.comp(n + 1 - k))
+        left += [(inner, outer, idx[:k], idx[k:], None) for idx in _indices((k, n - k))]
+    right = []
     for comp in _compositions0(n):
-        r = len(comp)
-        for tau in _primed0(comp):
-            ys = apply(tau, bs)
-            zs, off = [], 0
-            for size in comp:
-                zs.append(_naive_eval(mor.comp(size), _us(ys[off:off + size])))
-                off += size
-            bits ^= _naive_eval(mor.target.op(r), tuple(zs)).bits
-    return bits
+        outer = table(mor.target.op(len(comp)))
+        inners = [table(mor.comp(size)) for size in comp]
+        right += [(outer, tuple(zip(inners, boxes))) for boxes in _primed_boxes(comp)]
+    return left, right
 
 
-def _naive_module(mod: LinfModule, n: int, key: Tuple[Basis, ...]) -> int:
-    bits = 0
+def _naive_module(mod: LinfModule, n: int, table) -> Tuple[list, list]:
+    summands = []
     for p in range(1, n):
-        q = n + 1 - p
-        for sigma in _two_block_all(n, p):
-            if sigma(n) != n:
-                continue
-            ys = apply(sigma, key)
-            inner = _naive_eval(mod.algebra.op(p), _us(ys[:p]))
-            bits ^= _naive_eval(mod.op(q), (inner,) + _us(ys[p:])).bits
+        inner, outer = table(mod.algebra.op(p)), table(mod.op(n + 1 - p))
+        summands += [(inner, outer, idx[:p], idx[p:], None) for idx in _anchored(n, p, n)]
     for p in range(1, n + 1):
-        q = n + 1 - p
-        for sigma in _two_block_all(n, p):
-            if sigma(p) != n:
-                continue
-            ys = apply(sigma, key)
-            inner = _naive_eval(mod.op(p), _us(ys[:p]))
-            rot = apply(slot_rotation(n, p), (inner,) + _us(ys[p:]))
-            bits ^= _naive_eval(mod.op(q), rot).bits
-    return bits
+        inner, outer = table(mod.op(p)), table(mod.op(n + 1 - p))
+        rot = _rotation(n, p)
+        summands += [(inner, outer, idx[:p], idx[p:], rot) for idx in _anchored(n, p, p)]
+    return summands, []
 
 
-def _naive_modhom(h: ModuleMorphism, n: int, key: Tuple[Basis, ...]) -> int:
-    xs, mb = key[:-1], key[-1]
+def _naive_modhom(h: ModuleMorphism, n: int, table) -> Tuple[list, list]:
     alg = h.source.algebra
-    bits = 0
+    summands = []
     for i in range(1, n):
-        j = n + 1 - i
-        for sigma in _two_block_all(n, i):
-            if sigma(n) != n:
-                continue
-            ys = apply(sigma, key)
-            inner = _naive_eval(alg.op(i), _us(ys[:i]))
-            bits ^= _naive_eval(h.comp(j), (inner,) + _us(ys[i:])).bits
+        inner, outer = table(alg.op(i)), table(h.comp(n + 1 - i))
+        summands += [(inner, outer, idx[:i], idx[i:], None) for idx in _anchored(n, i, n)]
     for i in range(1, n + 1):
-        j = n + 1 - i
-        for sigma in _two_block_all(n, i):
-            if sigma(i) != n:
-                continue
-            ys = apply(sigma, key)
-            inner = _naive_eval(h.source.op(i), _us(ys[:i]))
-            rot = apply(slot_rotation(n, i), (inner,) + _us(ys[i:]))
-            bits ^= _naive_eval(h.comp(j), rot).bits
+        inner, outer = table(h.source.op(i)), table(h.comp(n + 1 - i))
+        rot = _rotation(n, i)
+        summands += [(inner, outer, idx[:i], idx[i:], rot) for idx in _anchored(n, i, i)]
+    # h.target.op(r)(ys[:n - s], h.comp(s)(ys[n - s:], mb)) for the unshuffles
+    # ys of the n - 1 algebra inputs: the inner value goes to the last slot
     for s in range(1, n + 1):
-        r = n + 1 - s
-        sizes = tuple(sz for sz in (n - s, s - 1) if sz > 0)
-        for tau in unshuffles(BlockSpec(sizes)):
-            ys = apply(tau, xs)
-            inner = _naive_eval(h.comp(s), _us(ys[n - s:]) + (_u(mb),))
-            bits ^= _naive_eval(h.target.op(r), _us(ys[:n - s]) + (inner,)).bits
-    return bits
+        inner, outer = table(h.comp(s)), table(h.target.op(n + 1 - s))
+        rot = _rotation(n, s)
+        summands += [(inner, outer, idx[n - s:] + (n - 1,), idx[:n - s], rot)
+                     for idx in _indices((n - s, s - 1))]
+    return summands, []
 
 
 _KINDS = {
@@ -274,7 +338,7 @@ def naive_residual(structure, kind: str, n: int) -> SymMultiMap:
     ordered basis tuple.  Bit-identical to the optimized residual by design;
     any disagreement between orderings of one tuple raises."""
     try:
-        expected_type, term = _KINDS[kind]
+        expected_type, summands = _KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown relation kind {kind!r}") from None
     if not isinstance(structure, expected_type):
@@ -302,9 +366,10 @@ def naive_residual(structure, kind: str, n: int) -> SymMultiMap:
                   for xs in itertools.product(space.basis(), repeat=n - 1)
                   for mb in structure.source.space.basis())
 
+    inserted, grouped = summands(structure, n, _tables())
     seen: Dict[tuple, int] = {}
     for tup in tuples:
-        bits = term(structure, n, tup)
+        bits = _inserted(inserted, tup) ^ _grouped(grouped, tup)
         ckey = tuple(sorted(tup[:sym_n])) + tuple(tup[sym_n:])
         if ckey in seen:
             if seen[ckey] != bits:

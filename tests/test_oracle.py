@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from linfty import fixtures
+from linfty import fixtures, oracle
 from linfty.gfa import GradedSpace, flip_bit
 from linfty.oracle import LabeledOperator, lemma4_equal, lemma4_lhs, lemma4_rhs, naive_residual
 from linfty.structures import LinfModule, residual
@@ -105,6 +105,32 @@ def test_naive_residual_matches_on_repeated_keys():
     for st in (alg, mor, mod, hom):
         for n in range(1, 6):
             assert naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)
+
+
+def test_naive_residual_matches_above_max_arity():
+    # operations above max_arity 2 are fresh zero maps on every op(k) call,
+    # so the oracle's per-call tables meet many short-lived maps
+    rng = random.Random(11)
+    alg = random_algebra(rng, GradedSpace({-1: 1, 0: 2, 1: 1}), 2, up_to=2)
+    mod = random_module(rng, alg, GradedSpace({0: 1, 1: 2}), 2, up_to=2)
+    nonzero = False
+    for st in (alg, mod):
+        for n in range(1, 6):
+            slow = naive_residual(st, KIND_OF[type(st)], n)
+            assert slow == residual(st, n)
+            nonzero = nonzero or not slow.is_zero
+    assert nonzero
+
+
+def test_naive_residual_raises_when_orderings_disagree(monkeypatch):
+    # a term that depends on the order of its inputs must be caught by the
+    # comparison of the orderings of each tuple
+    term = oracle._inserted
+    monkeypatch.setattr(oracle, "_inserted",
+                        lambda summands, key: term(summands, key) ^ (key[0] < key[1]))
+    alg = fixtures.build("heisenberg-adjoint").structures["heisenberg"]
+    with pytest.raises(AssertionError, match="not symmetric"):
+        naive_residual(alg, "jacobi", 2)
 
 
 def test_naive_residual_matches_on_fixtures():
