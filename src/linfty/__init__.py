@@ -6,20 +6,17 @@ morphisms, and the restriction-of-scalars construction along an algebra
 morphism, together with independent brute-force oracles for all of it.
 """
 
-from .gfa import Elem, GradedSpace, SymMultiMap, add_maps, flip_bit, is_zero, zero_map
+from .gfa import Elem, GradedSpace, SymMultiMap, flip_bit, zero_map
 from .jsonio import Bundle, FormatError, digest, merge_bundles, parse_bundle, serialize_bundle
 from .oracle import LabeledOperator, lemma4_equal, lemma4_lhs, lemma4_rhs, naive_residual
 from .perm import (
     BlockSpec,
     Perm,
     apply,
-    compose as compose_perms,
     filtered_unshuffles,
     identity,
-    inverse,
     one_line,
     ordered_partitions,
-    parse_one_line,
     primed_unshuffles,
     slot_rotation,
     unshuffles,

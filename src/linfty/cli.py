@@ -6,8 +6,7 @@ the built-in fixture bundles.
 Exit codes are uniform across commands: 0 on success, 1 on a mathematical
 failure (a nonzero residual, an oracle mismatch), 2 on input errors.
 Warnings (canonicalized entries, unverified inputs) go to stderr and never
-change the exit code by themselves.  The environment variable LINFTY_THREADS
-caps the worker count used for per-structure verification.
+change the exit code by themselves.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import json
 import os
 import sys
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -56,6 +54,9 @@ _KIND_NAMES = {
 
 
 def _thread_cap() -> int:
+    """The LINFTY_THREADS setting, at least 1.  Verification is serial; this
+    stays because the benchmark prints it with each run and its contract
+    test checks that it exists."""
     try:
         return max(1, int(os.environ.get("LINFTY_THREADS", "1")))
     except ValueError:
@@ -99,29 +100,17 @@ def cmd_verify(args) -> int:
     if not items:
         print("nothing to verify", file=sys.stderr)
         return INPUT_ERROR
-    for i, (name, st) in enumerate(items):
+    report = {"results": []}
+    bad = False
+    for name, st in items:
         bound = complete_bound(st)
         N = bound if args.max_arity is None else args.max_arity
         if N < bound:
             print(f"warning: {name}: --max-arity {N} is below the complete bound {bound}; "
                   "the check is not exhaustive", file=sys.stderr)
-        items[i] = (name, st, N, N >= bound)
-
-    def check(item):
-        return item + (first_failure(item[1], item[2]),)
-
-    cap = _thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(check, items))
-    else:
-        results = [check(it) for it in items]
-
-    report = {"max_arity": max(N for _, _, N, _, _ in results), "results": []}
-    bad = False
-    for name, st, N, exhaustive, failure in results:
+        failure = first_failure(st, N)
         kind = _KIND_NAMES[type(st)]
-        result = {"name": name, "kind": kind, "max_arity": N, "exhaustive": exhaustive,
+        result = {"name": name, "kind": kind, "max_arity": N, "exhaustive": N >= bound,
                   "ok": failure is None}
         if failure is None:
             print(f"ok    {name} ({kind}): residuals zero for n <= {N}")
@@ -132,6 +121,7 @@ def cmd_verify(args) -> int:
             print(f"FAIL  {name} ({kind}): arity {n}, inputs {list(key)} -> {elems}")
             result["witness"] = _witness_doc(n, key, value)
         report["results"].append(result)
+    report["max_arity"] = max(r["max_arity"] for r in report["results"])
     if args.report:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         if args.report == "-":
@@ -238,9 +228,9 @@ def cmd_unshuffles(args) -> int:
     else:
         perms = unshuffles(spec)
     if args.anchor:
-        p, v = args.anchor
-        perms = tuple(s for s in perms if s(p) == v) if args.primed else \
-            filtered_unshuffles(spec, p, v)
+        # filtered_unshuffles checks the anchor's range for both families
+        anchored = set(filtered_unshuffles(spec, *args.anchor))
+        perms = [s for s in perms if s in anchored]
     for s in perms:
         print(one_line(s))
     return OK

@@ -10,9 +10,7 @@ A SymMultiMap of arity k stores its values on canonical multi-indices: tuples
 of basis elements (degree, index), sorted over the symmetric slots.  Maps of
 "module type" carry a distinguished final slot (a second space) that is never
 sorted into the symmetric block.  Absent keys are zero.  Over F2 the
-skew-symmetric maps of the theory are plainly symmetric; an optional
-``alternating`` flag additionally kills repeated arguments for users who want
-the characteristic-0 discipline.
+skew-symmetric maps of the theory are plainly symmetric.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ __all__ = [
     "Basis",
     "SymMultiMap",
     "zero_map",
-    "add_maps",
-    "is_zero",
     "flip_bit",
 ]
 
@@ -135,7 +131,7 @@ class SymMultiMap:
     Every stored output satisfies  out degree = sum(input degrees) + shift.
     """
 
-    __slots__ = ("arity", "shift", "sym_space", "last_space", "codomain", "alternating", "_table")
+    __slots__ = ("arity", "shift", "sym_space", "last_space", "codomain", "_table")
 
     def __init__(
         self,
@@ -145,7 +141,6 @@ class SymMultiMap:
         codomain: GradedSpace,
         entries: Iterable[Tuple[Key, int]] = (),
         last_space: Optional[GradedSpace] = None,
-        alternating: bool = False,
     ):
         if arity < 1:
             raise ValueError("arity must be >= 1")
@@ -154,7 +149,6 @@ class SymMultiMap:
         self.sym_space = sym_space
         self.last_space = last_space
         self.codomain = codomain
-        self.alternating = alternating
         table: dict[Key, int] = {}
         for key, bits in entries:
             key = self._check_key(key)
@@ -189,12 +183,10 @@ class SymMultiMap:
             space = self.last_space if (self.last_space is not None and slot == self.arity - 1) else self.sym_space
             if not 0 <= i < space.dim(d):
                 raise ValueError(f"basis element {(d, i)} not in space of slot {slot}")
-        if self.alternating and len(set(ckey[: self.n_sym])) < self.n_sym:
-            raise ValueError("alternating map cannot have entries with repeated symmetric arguments")
         return ckey
 
     def signature(self) -> tuple:
-        return (self.arity, self.shift, self.sym_space, self.last_space, self.codomain, self.alternating)
+        return (self.arity, self.shift, self.sym_space, self.last_space, self.codomain)
 
     # -- queries --------------------------------------------------------------
 
@@ -247,7 +239,6 @@ class SymMultiMap:
             self.codomain,
             entries=list(self._table.items()) + list(other._table.items()),
             last_space=self.last_space,
-            alternating=self.alternating,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -276,17 +267,6 @@ def zero_map(
     return SymMultiMap(arity, shift, sym_space, codomain, (), last_space=last_space)
 
 
-def add_maps(a: SymMultiMap, b: SymMultiMap) -> SymMultiMap:
-    """Pointwise sum (xor of tables); signatures must agree."""
-    return a + b
-
-
-def is_zero(m: SymMultiMap) -> Tuple[bool, Optional[Tuple[Key, Elem]]]:
-    """Whether the map vanishes, plus one violating entry when it does not."""
-    w = m.witness()
-    return w is None, w
-
-
 def flip_bit(m: SymMultiMap, key: Sequence[Basis], bit: int) -> SymMultiMap:
     """A copy of the map with one output bit toggled at the given multi-index.
 
@@ -299,5 +279,5 @@ def flip_bit(m: SymMultiMap, key: Sequence[Basis], bit: int) -> SymMultiMap:
     entries = list(m.entries()) + [(ckey, 1 << bit)]
     return SymMultiMap(
         m.arity, m.shift, m.sym_space, m.codomain, entries,
-        last_space=m.last_space, alternating=m.alternating,
+        last_space=m.last_space,
     )

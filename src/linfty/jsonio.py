@@ -100,9 +100,12 @@ def _parse_map(where: str, doc: dict, arity: int, shift: int,
             f"{where}: declared arity/shift {doc.get('arity')}/{doc.get('shift')} "
             f"do not match the required {arity}/{shift}"
         )
+    ents = doc.get("entries", [])
+    if not isinstance(ents, list):
+        raise FormatError(f"{where}: 'entries' must be a list")
     entries: list[Tuple[tuple, int]] = []
     seen_keys = set()
-    for ent in doc.get("entries", ()):
+    for ent in ents:
         try:
             key = tuple((int(d), int(i)) for d, i in ent["in"])
             outs = [(int(d), int(i)) for d, i in ent["out"]]
@@ -138,7 +141,7 @@ def _parse_op_table(where: str, doc: dict, max_arity: int, shift_of,
                     sym: GradedSpace, last: Optional[GradedSpace], cod: GradedSpace,
                     warnings: List[str]) -> Dict[int, SymMultiMap]:
     out: Dict[int, SymMultiMap] = {}
-    for key, mdoc in (doc or {}).items():
+    for key, mdoc in _object(doc, f"{where}: operation table").items():
         try:
             k = int(key)
         except ValueError:
@@ -147,6 +150,13 @@ def _parse_op_table(where: str, doc: dict, max_arity: int, shift_of,
             raise FormatError(f"{where}: arity {k} outside 1..{max_arity}")
         out[k] = _parse_map(f"{where}[{k}]", mdoc, k, shift_of(k), sym, last, cod, warnings)
     return out
+
+
+def _object(doc, what: str) -> dict:
+    """doc, or {} when it is absent; anything but a JSON object is an error."""
+    if not isinstance(doc or {}, dict):
+        raise FormatError(f"{what} must be an object")
+    return doc or {}
 
 
 def _require(doc: dict, name: str, what: str):
@@ -168,20 +178,17 @@ def parse_bundle(text: str) -> Bundle:
         raise FormatError("top level must be an object")
 
     bundle = Bundle(provenance=doc.get("provenance"))
-    for name, sdoc in (doc.get("spaces") or {}).items():
+    for name, sdoc in _object(doc.get("spaces"), "'spaces'").items():
         bundle.spaces[name] = _parse_space(name, sdoc)
-
-    sdocs = doc.get("structures") or {}
-    if not isinstance(sdocs, dict):
-        raise FormatError("'structures' must be an object")
+    sdocs = _object(doc.get("structures"), "'structures'")
 
     def space_of(name: str, what: str) -> GradedSpace:
-        if name not in bundle.spaces:
+        if not isinstance(name, str) or name not in bundle.spaces:
             raise FormatError(f"{what}: unknown space {name!r}")
         return bundle.spaces[name]
 
     def structure_of(name: str, cls, what: str):
-        s = bundle.structures.get(name)
+        s = bundle.structures.get(name) if isinstance(name, str) else None
         if not isinstance(s, cls):
             raise FormatError(f"{what}: reference {name!r} does not resolve to a {cls.__name__}")
         return s
@@ -190,15 +197,15 @@ def parse_bundle(text: str) -> Bundle:
     order = {"algebra": 0, "module": 1, "morphism": 2, "module_morphism": 3}
     try:
         ranked = sorted(sdocs.items(), key=lambda kv: order[kv[1].get("kind")])
-    except (KeyError, AttributeError):
+    except (KeyError, AttributeError, TypeError):
         raise FormatError("every structure needs a valid 'kind' field") from None
 
     for name, s in ranked:
         kind = s["kind"]
         what = f"{kind} {name!r}"
-        max_arity = int(_require(s, "max_arity", what))
-        if max_arity < 1:
-            raise FormatError(f"{what}: max_arity must be >= 1")
+        max_arity = _require(s, "max_arity", what)
+        if not isinstance(max_arity, int) or max_arity < 1:
+            raise FormatError(f"{what}: max_arity must be an integer >= 1")
         if kind == "algebra":
             space = space_of(_require(s, "space", what), what)
             ops = _parse_op_table(what, s.get("ops"), max_arity, lambda k: k - 2,

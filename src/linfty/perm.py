@@ -10,10 +10,6 @@ Conventions
 - The tuple action is ``apply(sigma, xs)[k] = xs[sigma(k)]`` (both sides
   1-indexed).  In tensor language this is the map sending x_1 (x) ... (x) x_n
   to x_{sigma(1)} (x) ... (x) x_{sigma(n)}.
-- ``compose(sigma, tau)`` is the unique permutation rho with
-  ``apply(rho, xs) == apply(tau, apply(sigma, xs))`` for all xs, i.e.
-  ``rho(k) = sigma(tau(k))``.  Chained tuple actions therefore compose
-  left-to-right: act by sigma first, then by tau.
 
 An (i_1, ..., i_r)-unshuffle is a permutation that is increasing within each
 consecutive block of the given sizes.  The primed family additionally requires
@@ -40,15 +36,12 @@ __all__ = [
     "BlockSpec",
     "identity",
     "apply",
-    "compose",
-    "inverse",
     "unshuffles",
     "primed_unshuffles",
     "filtered_unshuffles",
     "slot_rotation",
     "ordered_partitions",
     "one_line",
-    "parse_one_line",
 ]
 
 
@@ -131,31 +124,6 @@ def apply(sigma: Perm, xs: Sequence[T]) -> Tuple[T, ...]:
     if len(xs) != sigma.n:
         raise ValueError(f"length mismatch: permutation of {sigma.n}, tuple of {len(xs)}")
     return tuple(xs[i - 1] for i in sigma.images)
-
-
-def compose(sigma: Perm, tau: Perm) -> Perm:
-    """The permutation acting as sigma first, then tau, on tuples.
-
-    apply(compose(sigma, tau), xs) == apply(tau, apply(sigma, xs)).
-
-    >>> compose(Perm((2, 1, 3)), Perm((1, 3, 2)))
-    Perm((2, 3, 1))
-    """
-    if sigma.n != tau.n:
-        raise ValueError(f"size mismatch: {sigma.n} vs {tau.n}")
-    return Perm(tuple(sigma.images[t - 1] for t in tau.images))
-
-
-def inverse(sigma: Perm) -> Perm:
-    """The inverse permutation: compose(sigma, inverse(sigma)) == identity.
-
-    >>> inverse(Perm((2, 3, 1)))
-    Perm((3, 1, 2))
-    """
-    inv = [0] * sigma.n
-    for pos, val in enumerate(sigma.images, start=1):
-        inv[val - 1] = pos
-    return Perm(tuple(inv))
 
 
 def _block_starts(sizes: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -266,15 +234,3 @@ def one_line(p: Perm) -> str:
     if p.n > 9:
         return ",".join(str(i) for i in p.images)
     return "".join(str(i) for i in p.images)
-
-
-def parse_one_line(text: str) -> Perm:
-    """Inverse of one_line.
-
-    >>> parse_one_line("2413")
-    Perm((2, 4, 1, 3))
-    """
-    text = text.strip()
-    if "," in text:
-        return Perm(tuple(int(t) for t in text.split(",")))
-    return Perm(tuple(int(c) for c in text))

@@ -34,10 +34,10 @@ from .structures import (
     LinfModule,
     LinfMorphism,
     ModuleMorphism,
+    complete_bound,
     first_failure,
     modhom_residual,
     module_residual,
-    morphism_residual,
     pullback,
 )
 
@@ -81,17 +81,25 @@ class RestrictionContext:
 
 
 def context(morphism: LinfMorphism, max_arity: Optional[int] = None) -> RestrictionContext:
-    """Verify the morphism up to the truncation arity and wrap it.
+    """Verify the morphism up to the truncation arity, and its source and
+    target algebras exhaustively (up to their complete bounds), and wrap it.
 
-    A morphism with nonzero residuals is still usable (handy when debugging
-    one's own I), but the fact is recorded and every restriction through the
-    context warns and skips its output check.
+    A morphism with nonzero residuals, or between algebras that are not
+    L-infinity algebras, is still usable (handy when debugging one's own I),
+    but the fact is recorded and every restriction through the context warns
+    and skips its output check.
     """
     N = morphism.max_arity if max_arity is None else max_arity
-    ok = all(morphism_residual(morphism, n).is_zero for n in range(1, N + 1))
-    if not ok:
-        _warnings.warn("algebra morphism fails its relation; restrictions will be unverified",
-                       UnverifiedInputWarning, stacklevel=2)
+    ok = True
+    for what, st, bound in (("algebra morphism", morphism, N),
+                            ("source algebra", morphism.source, complete_bound(morphism.source)),
+                            ("target algebra", morphism.target, complete_bound(morphism.target))):
+        failure = first_failure(st, bound)
+        if failure is not None:
+            ok = False
+            _warnings.warn(f"{what} fails its relation at arity {failure[0]} on "
+                           f"{list(failure[1])}; restrictions will be unverified",
+                           UnverifiedInputWarning, stacklevel=2)
     return RestrictionContext(morphism, N, ok)
 
 

@@ -25,9 +25,12 @@ algebras", Comm. Algebra 1995): an L-module M is the algebra L x| M (l on
 L-inputs, k on inputs with one M element, zero otherwise) and a module
 morphism h is the algebra morphism id_L + h.  The module relations, compose
 and the restriction pullback along I (through I + id_M) are the parts of
-those sums with exactly one M input.  Embedding convention, private to this
-module: in each degree the basis of L x| M is that of L followed by that of
-M; keys and outputs are mapped back to module-slot-last form.
+those sums with exactly one M input.  That part needs no filter: the outer
+maps are the module maps alone, each of whose keys holds one M element, and
+an M-valued inner output can fill only that M slot, since M's basis sits
+past L's in the embedding.  Embedding convention, private to this module:
+in each degree the basis of L x| M is that of L followed by that of M; keys
+and outputs are mapped back to module-slot-last form.
 
 All sums are truncated at the structures' max_arity; operations above it are
 identically zero, so the truncation is exact for structures that vanish in
@@ -41,7 +44,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .gfa import Basis, Elem, GradedSpace, Key, SymMultiMap, zero_map
 
@@ -71,16 +74,16 @@ def _check_map(m: SymMultiMap, arity: int, shift: int, sym: GradedSpace,
         )
 
 
-def _fill(ops: Mapping[int, SymMultiMap], max_arity: int, arity_of, shift_of,
+def _fill(ops: Mapping[int, SymMultiMap], max_arity: int, shift_of,
           sym: GradedSpace, last: Optional[GradedSpace], cod: GradedSpace, what: str
           ) -> Tuple[SymMultiMap, ...]:
     filled = []
     for k in range(1, max_arity + 1):
         m = ops.get(k)
         if m is None:
-            m = zero_map(arity_of(k), shift_of(k), sym, cod, last_space=last)
+            m = zero_map(k, shift_of(k), sym, cod, last_space=last)
         else:
-            _check_map(m, arity_of(k), shift_of(k), sym, last, cod, f"{what}[{k}]")
+            _check_map(m, k, shift_of(k), sym, last, cod, f"{what}[{k}]")
         filled.append(m)
     for k in ops:
         if not 1 <= k <= max_arity:
@@ -99,7 +102,7 @@ class LinfAlgebra:
     @staticmethod
     def build(space: GradedSpace, max_arity: int, ops: Mapping[int, SymMultiMap]) -> "LinfAlgebra":
         return LinfAlgebra(space, max_arity,
-                           _fill(ops, max_arity, lambda k: k, lambda k: k - 2,
+                           _fill(ops, max_arity, lambda k: k - 2,
                                  space, None, space, "l"))
 
     def op(self, k: int) -> SymMultiMap:
@@ -121,7 +124,7 @@ class LinfMorphism:
     def build(source: LinfAlgebra, target: LinfAlgebra, max_arity: int,
               comps: Mapping[int, SymMultiMap]) -> "LinfMorphism":
         return LinfMorphism(source, target, max_arity,
-                            _fill(comps, max_arity, lambda k: k, lambda k: k - 1,
+                            _fill(comps, max_arity, lambda k: k - 1,
                                   source.space, None, target.space, "f"))
 
     def comp(self, k: int) -> SymMultiMap:
@@ -143,7 +146,7 @@ class LinfModule:
     def build(algebra: LinfAlgebra, space: GradedSpace, max_arity: int,
               ops: Mapping[int, SymMultiMap]) -> "LinfModule":
         return LinfModule(algebra, space, max_arity,
-                          _fill(ops, max_arity, lambda k: k, lambda k: k - 2,
+                          _fill(ops, max_arity, lambda k: k - 2,
                                 algebra.space, space, space, "k"))
 
     def op(self, k: int) -> SymMultiMap:
@@ -167,7 +170,7 @@ class ModuleMorphism:
         if source.algebra != target.algebra:
             raise ValueError("module morphism requires modules over the same algebra")
         return ModuleMorphism(source, target, max_arity,
-                              _fill(comps, max_arity, lambda k: k, lambda k: k - 1,
+                              _fill(comps, max_arity, lambda k: k - 1,
                                     source.algebra.space, source.space, target.space, "h"))
 
     def comp(self, k: int) -> SymMultiMap:
@@ -244,11 +247,9 @@ def _multisets(elements: Iterable[Basis], n: int):
     return code, decode
 
 
-def _insertion(outer: Family, inner: Family, n: int,
-               keep: Optional[Callable[[Key], bool]] = None) -> List[Tuple[Key, int]]:
+def _insertion(outer: Family, inner: Family, n: int) -> List[Tuple[Key, int]]:
     """The insertion sum sum_{i+j=n+1} sum_{S(i,n-i)} outer_j(inner_i(..), ..)
-    as (key, bits) for the canonical keys where it is nonzero and keep(key)
-    holds, if given.
+    as (key, bits) for the canonical keys where it is nonzero.
 
     Each entry K of outer_j is indexed once under each element e it holds,
     as B = K minus one e.  An entry A -> (d, bits) of inner_i meets every B
@@ -256,6 +257,10 @@ def _insertion(outer: Family, inner: Family, n: int,
     once per split of A u B that takes A: prod_b C(m_A(b) + m_B(b), m_A(b))
     times, which by Kummer's theorem is odd exactly when code(A) & code(B)
     == 0 (see _multisets).  Disjoint A and B always count.
+
+    With the module maps alone as outer, every A u B holds exactly one M
+    element: each outer key holds one, and an M-valued inner output (bits
+    past low) can fill only that M slot (see the module docstring).
     """
     live = [(_at(inner, i), _at(outer, n + 1 - i))
             for i in range(1, n + 1) if _at(inner, i) and _at(outer, n + 1 - i)]
@@ -278,8 +283,7 @@ def _insertion(outer: Family, inner: Family, n: int,
                 for b, ob in under.get((d, low.bit_length() - 1), ()):
                     if not a & b:
                         acc[a | b] = acc.get(a | b, 0) ^ ob
-    out = [(decode(c), bits) for c, bits in acc.items() if bits]
-    return out if keep is None else [(key, bits) for key, bits in out if keep(key)]
+    return [(decode(c), bits) for c, bits in acc.items() if bits]
 
 
 def _partitions(n: int, least: int = 1) -> Iterator[Tuple[int, ...]]:
@@ -370,12 +374,6 @@ def _identity(space: GradedSpace, low_in: Mapping[int, int],
     return ({(_embed(b, low_in),): (b[0], 1 << _embed(b, low_out)[1]) for b in space.basis()},)
 
 
-def _semidirect(module: LinfModule) -> Family:
-    """The brackets of L x| M: l on L-inputs, k on one-M inputs."""
-    low = module.algebra.space.dims()
-    return _merged(_family(module.algebra.ops), _module_family(module.ops, low))
-
-
 def _one_module_keys(alg: GradedSpace, mod: GradedSpace, n: int) -> Iterator[Key]:
     """Canonical arity-n keys of alg x| mod with exactly one mod element."""
     low = alg.dims()
@@ -384,11 +382,6 @@ def _one_module_keys(alg: GradedSpace, mod: GradedSpace, n: int) -> Iterator[Key
         for x in ms:
             pos = bisect_left(xs, x)
             yield xs[:pos] + (x,) + xs[pos:]
-
-
-def _one_module(low: Mapping[int, int]):
-    """Whether a key over L x| M (low = dims of L) has exactly one M element."""
-    return lambda key: sum(i >= low.get(d, 0) for d, i in key) == 1
 
 
 def _module_map(n: int, shift: int, alg: GradedSpace, cod: GradedSpace, mod: GradedSpace,
@@ -439,16 +432,9 @@ def module_residual(module: LinfModule, n: int) -> SymMultiMap:
     with exactly one module element, as one map (module slot last)."""
     _check_arity(n)
     alg, mod = module.algebra.space, module.space
-    lk = _semidirect(module)
-    entries = _insertion(lk, lk, n, _one_module(alg.dims()))
+    k = _module_family(module.ops, alg.dims())
+    entries = _insertion(k, _merged(_family(module.algebra.ops), k), n)
     return _module_map(n, n - 3, alg, mod, mod, entries, alg.dims())
-
-
-def _plus_identity(h: ModuleMorphism) -> Family:
-    """id_L + h as an algebra morphism L x| M -> L x| M'."""
-    alg = h.source.algebra.space
-    low = alg.dims()
-    return _merged(_identity(alg, {}, {}), _module_family(h.comps, low))
 
 
 def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
@@ -457,9 +443,12 @@ def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
     sum h_j(l_i ..) + sum h_j(k_i ..) + sum k'_r(.., h_s(..))."""
     _check_arity(n)
     alg, mod = h.source.algebra.space, h.source.space
-    F = _plus_identity(h)
-    entries = (_insertion(F, _semidirect(h.source), n, _one_module(alg.dims()))
-               + _grouped(_semidirect(h.target), F, n, _one_module_keys(alg, mod, n)))
+    low = alg.dims()
+    hf = _module_family(h.comps, low)
+    lk = _merged(_family(h.source.algebra.ops), _module_family(h.source.ops, low))
+    entries = (_insertion(hf, lk, n)
+               + _grouped(_module_family(h.target.ops, low), _merged(_identity(alg, {}, {}), hf),
+                          n, _one_module_keys(alg, mod, n)))
     return _module_map(n, n - 2, alg, h.target.space, mod, entries, alg.dims())
 
 
@@ -526,7 +515,7 @@ def identity_morphism(module: LinfModule) -> ModuleMorphism:
 
 def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     """(g o f)_n = sum_{i+j=n+1} sum_{sigma(i)=n} g_j(delta(f_i .. )): the one
-    module element part of the grouped sum of id + g after id + f.
+    module element part of the grouped sum of g after id + f.
 
     Component n has degree n-1, since (i-1) + (j-1) = n-1.
     """
@@ -536,8 +525,9 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     if alg != g.source.algebra:
         raise ValueError("compose requires morphisms over the same algebra")
     N = min(f.max_arity, g.max_arity)
-    G, F = _plus_identity(g), _plus_identity(f)
     space, mod, low = alg.space, f.source.space, alg.space.dims()
+    G = _module_family(g.comps, low)
+    F = _merged(_identity(space, {}, {}), _module_family(f.comps, low))
     comps = {n: _module_map(n, n - 1, space, g.target.space, mod,
                             _grouped(G, F, n, _one_module_keys(space, mod, n)), low)
              for n in range(1, N + 1)}

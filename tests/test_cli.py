@@ -7,7 +7,7 @@ from linfty.cli import main
 from linfty.gfa import GradedSpace, SymMultiMap
 from linfty.jsonio import Bundle, parse_bundle, serialize_bundle
 from linfty.restrict import classical_restriction
-from linfty.structures import LinfAlgebra
+from linfty.structures import LinfAlgebra, LinfModule, LinfMorphism
 
 
 @pytest.fixture()
@@ -84,6 +84,34 @@ def test_verify_missing_reference_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _malformed(edit):
+    doc = {"spaces": {"L": {"dims": {"0": 1}}},
+           "structures": {"a": {"kind": "algebra", "space": "L", "max_arity": 2,
+                                "ops": {"2": {"arity": 2, "shift": 0, "entries": []}}},
+                          "m": {"kind": "module", "algebra": "a", "space": "L",
+                                "max_arity": 2}}}
+    edit(doc, doc["structures"]["a"])
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc, a: a.update(max_arity=None),
+    lambda doc, a: doc.update(spaces=[1]),
+    lambda doc, a: a.update(ops=[1]),
+    lambda doc, a: a["ops"]["2"].update(entries=5),
+    lambda doc, a: a.update(space=["L"]),
+    lambda doc, a: a.update(kind=["algebra"]),
+    lambda doc, a: doc["structures"]["m"].update(algebra=["a"]),
+], ids=["max_arity-null", "spaces-list", "ops-list", "entries-int", "space-list",
+        "kind-list", "reference-list"])
+def test_verify_malformed_bundle_exit_two(tmp_path, capsys, edit):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(_malformed(edit)))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_kind_filter(fixture_dir, capsys):
     rc = main(["verify", str(fixture_dir / "heisenberg-adjoint.json"), "--kind", "algebra"])
     out = capsys.readouterr().out
@@ -111,6 +139,16 @@ def test_unshuffles_anchor(capsys):
 
 def test_unshuffles_bad_sizes(capsys):
     assert main(["unshuffles", "0", "2"]) == 2
+
+
+@pytest.mark.parametrize("primed", [[], ["--primed"]], ids=["plain", "primed"])
+def test_unshuffles_anchor_out_of_range_exit_two(capsys, primed):
+    for anchor in ("9=1", "0=3", "1=4"):
+        assert main(["unshuffles", "1", "2", *primed, "--anchor", anchor]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "out of range" in captured.err
+    assert main(["unshuffles", "1", "2", *primed, "--anchor", "3=3"]) == 0
+    assert capsys.readouterr().out.split() == ["123", "213"]
 
 
 def test_lemma4_command(capsys):
@@ -183,6 +221,25 @@ def test_restrict_ambiguous_module_exit_two(fixture_dir, capsys):
     assert "use the name option" in capsys.readouterr().err
 
 
+def test_restrict_checks_the_algebras(tmp_path, capsys):
+    # l2(e0, e0) = e0 breaks the Jacobi identity at arity 3 (its complete
+    # bound), past the truncation arity 2 that the morphism is checked to
+    V = GradedSpace({0: 3})
+    L = LinfAlgebra.build(V, 2, {2: SymMultiMap(2, 0, V, V, [(((0, 0), (0, 0)), 0b1)])})
+    ident = SymMultiMap(1, 0, V, V, [(((0, i),), 1 << i) for i in range(3)])
+    M = GradedSpace({0: 1})
+    path = tmp_path / "bad-algebra.json"
+    path.write_text(serialize_bundle(Bundle({"V": V, "M": M}, {
+        "L": L, "I": LinfMorphism.build(L, L, 2, {1: ident}),
+        "zero": LinfModule.build(L, M, 2, {})})))
+    out_path = tmp_path / "out.json"
+    assert main(["restrict", "--morphism", str(path), "--module", str(path),
+                 "-o", str(out_path)]) == 0
+    assert "source algebra fails its relation at arity 3" in capsys.readouterr().err
+    assert parse_bundle(out_path.read_text()).provenance["verified"] is False
+    assert main(["verify", str(path)]) == 1
+
+
 def test_compose_command(fixture_dir, tmp_path):
     chain = str(fixture_dir / "functoriality-chain.json")
     out_path = tmp_path / "composed.json"
@@ -201,9 +258,3 @@ def test_exit_code_contract_for_lemma4(monkeypatch, capsys):
     monkeypatch.setattr(cli, "lemma4_rhs", lambda n: Counter({LabeledOperator((), 0): 1}))
     assert main(["lemma4", "--n", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
-
-
-def test_threads_env_smoke(fixture_dir, monkeypatch):
-    monkeypatch.setenv("LINFTY_THREADS", "4")
-    assert main(["verify", str(fixture_dir / "functoriality-chain.json"),
-                 "--max-arity", "5"]) == 0

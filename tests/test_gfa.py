@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linfty.gfa import Elem, GradedSpace, SymMultiMap, add_maps, flip_bit, is_zero, unit, zero_map
+from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit, zero_map
 
 V = GradedSpace({0: 3, 1: 2})
 e, f, h = (0, 0), (0, 1), (0, 2)
@@ -93,22 +93,21 @@ def test_zero_map_and_addition():
     l2 = _bracket()
     assert z.is_zero
     assert z.eval((unit(e), unit(f))).is_zero
-    assert add_maps(l2, z) == l2
-    assert add_maps(l2, l2).is_zero
+    assert l2 + z == l2
+    assert (l2 + l2).is_zero
     a = SymMultiMap(2, 0, V, V, [((e, e), 0b1)])
     b = SymMultiMap(2, 0, V, V, [((e, h), 0b10)])
     c = _bracket()
-    assert add_maps(add_maps(a, b), c) == add_maps(a, add_maps(b, c))
+    assert (a + b) + c == a + (b + c)
     with pytest.raises(ValueError):
-        add_maps(l2, zero_map(3, 1, V, V))
+        l2 + zero_map(3, 1, V, V)
 
 
 def test_is_zero_witness():
-    ok, w = is_zero(zero_map(1, 0, V, V))
-    assert ok and w is None
-    ok, w = is_zero(_bracket())
-    assert not ok
-    key, val = w
+    assert zero_map(1, 0, V, V).witness() is None
+    m = _bracket()
+    assert not m.is_zero
+    key, val = m.witness()
     assert key == (e, f) and val == Elem(0, 0b100)
 
 
@@ -134,13 +133,6 @@ def test_module_map_sorts_only_algebra_slots():
     M = GradedSpace({0: 1, 1: 1})
     k3 = SymMultiMap(3, 1, V, M, [((f, h, (0, 0)), 0b1)], last_space=M)
     assert k3.value((h, f, (0, 0))) == 0b1
-
-
-def test_alternating_flag():
-    m = SymMultiMap(2, 0, V, V, [((e, f), 0b100)], alternating=True)
-    assert m.eval((unit(e), unit(e))).is_zero
-    with pytest.raises(ValueError):
-        SymMultiMap(2, 0, V, V, [((e, e), 0b1)], alternating=True)
 
 
 def test_flip_bit():
