@@ -204,7 +204,7 @@ def parse_bundle(text: str) -> Bundle:
         kind = s["kind"]
         what = f"{kind} {name!r}"
         max_arity = _require(s, "max_arity", what)
-        if not isinstance(max_arity, int) or max_arity < 1:
+        if type(max_arity) is not int or max_arity < 1:  # bool is an int subclass
             raise FormatError(f"{what}: max_arity must be an integer >= 1")
         if kind == "algebra":
             space = space_of(_require(s, "space", what), what)
@@ -267,7 +267,7 @@ def _map_doc(m: SymMultiMap) -> dict:
 
 
 def _op_table_doc(maps) -> dict:
-    return {str(k): _map_doc(m) for k, m in maps.items() if not m.is_zero}
+    return {str(k): _map_doc(m) for k, m in enumerate(maps, start=1) if not m.is_zero}
 
 
 def serialize_bundle(bundle: Bundle, provenance: Optional[dict] = None) -> str:
@@ -295,7 +295,7 @@ def serialize_bundle(bundle: Bundle, provenance: Optional[dict] = None) -> str:
                 "kind": "algebra",
                 "space": space_ref(st.space, what),
                 "max_arity": st.max_arity,
-                "ops": _op_table_doc({k: st.op(k) for k in range(1, st.max_arity + 1)}),
+                "ops": _op_table_doc(st.ops),
             }
         elif isinstance(st, LinfModule):
             sdocs[name] = {
@@ -303,7 +303,7 @@ def serialize_bundle(bundle: Bundle, provenance: Optional[dict] = None) -> str:
                 "algebra": structure_ref(st.algebra, what),
                 "space": space_ref(st.space, what),
                 "max_arity": st.max_arity,
-                "ops": _op_table_doc({k: st.op(k) for k in range(1, st.max_arity + 1)}),
+                "ops": _op_table_doc(st.ops),
             }
         elif isinstance(st, LinfMorphism):
             sdocs[name] = {
@@ -311,7 +311,7 @@ def serialize_bundle(bundle: Bundle, provenance: Optional[dict] = None) -> str:
                 "source": structure_ref(st.source, what),
                 "target": structure_ref(st.target, what),
                 "max_arity": st.max_arity,
-                "comps": _op_table_doc({k: st.comp(k) for k in range(1, st.max_arity + 1)}),
+                "comps": _op_table_doc(st.comps),
             }
         elif isinstance(st, ModuleMorphism):
             sdocs[name] = {
@@ -319,7 +319,7 @@ def serialize_bundle(bundle: Bundle, provenance: Optional[dict] = None) -> str:
                 "source": structure_ref(st.source, what),
                 "target": structure_ref(st.target, what),
                 "max_arity": st.max_arity,
-                "comps": _op_table_doc({k: st.comp(k) for k in range(1, st.max_arity + 1)}),
+                "comps": _op_table_doc(st.comps),
             }
         else:
             raise FormatError(f"{what}: unserializable type {type(st).__name__}")

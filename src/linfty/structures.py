@@ -32,9 +32,9 @@ past L's in the embedding.  Embedding convention, private to this module:
 in each degree the basis of L x| M is that of L followed by that of M; keys
 and outputs are mapped back to module-slot-last form.
 
-All sums are truncated at the structures' max_arity; operations above it are
-identically zero, so the truncation is exact for structures that vanish in
-high arities.
+A structure stores its maps only up to its highest nonzero arity; max_arity
+is the truncation number alone.  Every loop over arities runs to the stored
+lengths.
 """
 
 from __future__ import annotations
@@ -77,18 +77,15 @@ def _check_map(m: SymMultiMap, arity: int, shift: int, sym: GradedSpace,
 def _fill(ops: Mapping[int, SymMultiMap], max_arity: int, shift_of,
           sym: GradedSpace, last: Optional[GradedSpace], cod: GradedSpace, what: str
           ) -> Tuple[SymMultiMap, ...]:
-    filled = []
-    for k in range(1, max_arity + 1):
-        m = ops.get(k)
-        if m is None:
-            m = zero_map(k, shift_of(k), sym, cod, last_space=last)
-        else:
-            _check_map(m, k, shift_of(k), sym, last, cod, f"{what}[{k}]")
-        filled.append(m)
-    for k in ops:
+    """The maps of arity 1..top, top the highest nonzero one; zero maps fill
+    the gaps below it."""
+    for k, m in ops.items():
         if not 1 <= k <= max_arity:
             raise ValueError(f"{what}[{k}] outside 1..{max_arity}")
-    return tuple(filled)
+        _check_map(m, k, shift_of(k), sym, last, cod, f"{what}[{k}]")
+    top = max((k for k, m in ops.items() if not m.is_zero), default=0)
+    return tuple(ops[k] if k in ops else zero_map(k, shift_of(k), sym, cod, last_space=last)
+                 for k in range(1, top + 1))
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class LinfAlgebra:
                                  space, None, space, "l"))
 
     def op(self, k: int) -> SymMultiMap:
-        if 1 <= k <= self.max_arity:
+        if 1 <= k <= len(self.ops):
             return self.ops[k - 1]
         return zero_map(k, k - 2, self.space, self.space)
 
@@ -128,7 +125,7 @@ class LinfMorphism:
                                   source.space, None, target.space, "f"))
 
     def comp(self, k: int) -> SymMultiMap:
-        if 1 <= k <= self.max_arity:
+        if 1 <= k <= len(self.comps):
             return self.comps[k - 1]
         return zero_map(k, k - 1, self.source.space, self.target.space)
 
@@ -150,7 +147,7 @@ class LinfModule:
                                 algebra.space, space, space, "k"))
 
     def op(self, k: int) -> SymMultiMap:
-        if 1 <= k <= self.max_arity:
+        if 1 <= k <= len(self.ops):
             return self.ops[k - 1]
         return zero_map(k, k - 2, self.algebra.space, self.space, last_space=self.space)
 
@@ -174,7 +171,7 @@ class ModuleMorphism:
                                     source.algebra.space, source.space, target.space, "h"))
 
     def comp(self, k: int) -> SymMultiMap:
-        if 1 <= k <= self.max_arity:
+        if 1 <= k <= len(self.comps):
             return self.comps[k - 1]
         return zero_map(k, k - 1, self.source.algebra.space, self.target.space,
                         last_space=self.source.space)
@@ -467,8 +464,9 @@ def residual(structure, n: int) -> SymMultiMap:
 
 def first_failure(structure, up_to: int) -> Optional[Tuple[int, tuple, Elem]]:
     """The first (n, basis tuple, nonzero value) with a nonzero residual for
-    n <= up_to, or None when every relation holds."""
-    for n in range(1, up_to + 1):
+    n <= up_to, or None when every relation holds.  Only n <= complete_bound
+    is computed; the residuals above it are zero."""
+    for n in range(1, min(up_to, complete_bound(structure)) + 1):
         w = residual(structure, n).witness()
         if w is not None:
             key, elem = w
@@ -478,22 +476,20 @@ def first_failure(structure, up_to: int) -> Optional[Tuple[int, tuple, Elem]]:
 
 def complete_bound(structure) -> int:
     """An arity above which every residual of the structure is zero by
-    construction, from its highest nonzero operations: a summand at arity n
-    composes operations whose arities add up to n + 1 (or, for the r-fold
-    products of a morphism, to n).  Checking n <= this bound is exhaustive."""
-    def top(maps: Sequence[SymMultiMap]) -> int:
-        return max((k for k, m in enumerate(maps, start=1) if not m.is_zero), default=0)
-
+    construction, from its highest nonzero operations (the stored lengths):
+    a summand at arity n composes operations whose arities add up to n + 1
+    (or, for the r-fold products of a morphism, to n).  Checking n <= this
+    bound is exhaustive."""
     st = structure
     if isinstance(st, LinfAlgebra):
-        bound = 2 * top(st.ops) - 1
+        bound = 2 * len(st.ops) - 1
     elif isinstance(st, LinfMorphism):
-        bound = max(top(st.source.ops) + top(st.comps) - 1, top(st.target.ops) * top(st.comps))
+        bound = max(len(st.source.ops) + len(st.comps) - 1, len(st.target.ops) * len(st.comps))
     elif isinstance(st, LinfModule):
-        bound = max(top(st.algebra.ops) + top(st.ops), 2 * top(st.ops)) - 1
+        bound = max(len(st.algebra.ops) + len(st.ops), 2 * len(st.ops)) - 1
     elif isinstance(st, ModuleMorphism):
-        bound = max(top(st.source.algebra.ops), top(st.source.ops), top(st.target.ops)) \
-            + top(st.comps) - 1
+        bound = max(len(st.source.algebra.ops), len(st.source.ops), len(st.target.ops)) \
+            + len(st.comps) - 1
     else:
         raise TypeError(f"no defining relation for {type(st).__name__}")
     return max(bound, 1)
@@ -515,9 +511,11 @@ def identity_morphism(module: LinfModule) -> ModuleMorphism:
 
 def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     """(g o f)_n = sum_{i+j=n+1} sum_{sigma(i)=n} g_j(delta(f_i .. )): the one
-    module element part of the grouped sum of g after id + f.
+    module element part of the grouped sum of g after id + f, for n up to the
+    smaller truncation arity.
 
-    Component n has degree n-1, since (i-1) + (j-1) = n-1.
+    Component n has degree n-1, since (i-1) + (j-1) = n-1; it is zero for
+    n >= len(f.comps) + len(g.comps), so no higher component is computed.
     """
     if f.target != g.source:
         raise ValueError("compose(g, f) requires target(f) == source(g)")
@@ -530,23 +528,30 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     F = _merged(_identity(space, {}, {}), _module_family(f.comps, low))
     comps = {n: _module_map(n, n - 1, space, g.target.space, mod,
                             _grouped(G, F, n, _one_module_keys(space, mod, n)), low)
-             for n in range(1, N + 1)}
+             for n in range(1, min(N, len(f.comps) + len(g.comps) - 1) + 1)}
     return ModuleMorphism.build(f.source, g.target, N, comps)
 
 
-def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap]) -> Tuple[SymMultiMap, ...]:
-    """Module-slot-last maps over morphism.target pulled back along the
-    morphism I: L' -> L, arity by arity up to len(maps):
+def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap],
+             up_to: int) -> Dict[int, SymMultiMap]:
+    """Module-slot-last maps over morphism.target (arities 1..len(maps))
+    pulled back along the morphism I: L' -> L, as {n: map} for n <= up_to:
 
         (I* m)_n = sum over set partitions {B_1..B_r} of the n-1 algebra
                    inputs of m_{r+1}(I_|B_1|(B_1), .., I_|B_r|(B_r), m),
 
     the one module element part of the grouped sum of maps after I + id_M.
+    It can be nonzero above len(maps), but not above
+    (len(maps) - 1) * len(I.comps) + 1, where no arity is computed.
     """
+    if not maps:
+        return {}
     src, low = morphism.source.space, morphism.target.space.dims()
-    mod = maps[0].last_space
+    first = maps[0]
+    mod = first.last_space
     inner = _merged(_family(morphism.comps), _identity(mod, src.dims(), low))
     outer = _module_family(maps, low)
-    return tuple(_module_map(n, m.shift, src, m.codomain, mod,
-                             _grouped(outer, inner, n, _one_module_keys(src, mod, n)), low)
-                 for n, m in enumerate(maps, start=1))
+    top = min(up_to, (len(maps) - 1) * len(morphism.comps) + 1)
+    return {n: _module_map(n, first.shift + n - 1, src, first.codomain, mod,
+                           _grouped(outer, inner, n, _one_module_keys(src, mod, n)), low)
+            for n in range(1, top + 1)}

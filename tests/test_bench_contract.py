@@ -21,7 +21,7 @@ import workloads  # noqa: E402
 DIGESTED = ("residual-dense", "restrict-chain")  # workloads with recorded output digests
 
 
-@pytest.mark.parametrize("name", ["residual-dense", "verify-valid", "restrict-chain"])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_one_pass_passes_every_check(name, tmp_path):
     workload = workloads.WORKLOADS[name](0)
     workload.setup(tmp_path)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from linfty import fixtures
+from linfty import fixtures, structures
 from linfty.cli import main
 from linfty.gfa import GradedSpace, SymMultiMap
 from linfty.jsonio import Bundle, parse_bundle, serialize_bundle
@@ -102,14 +102,32 @@ def _malformed(edit):
     lambda doc, a: a.update(space=["L"]),
     lambda doc, a: a.update(kind=["algebra"]),
     lambda doc, a: doc["structures"]["m"].update(algebra=["a"]),
+    lambda doc, a: doc["structures"]["m"].update(max_arity=True),
 ], ids=["max_arity-null", "spaces-list", "ops-list", "entries-int", "space-list",
-        "kind-list", "reference-list"])
+        "kind-list", "reference-list", "max_arity-true"])
 def test_verify_malformed_bundle_exit_two(tmp_path, capsys, edit):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_malformed(edit)))
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_far_above_the_bound_stops_at_it(fixture_dir, tmp_path, monkeypatch):
+    # residuals above complete_bound are zero by its proof, so none is computed
+    calls = []
+    residual = structures.residual
+    monkeypatch.setattr(structures, "residual",
+                        lambda st, n: calls.append((st, n)) or residual(st, n))
+    report = tmp_path / "report.json"
+    path = fixture_dir / "functoriality-chain.json"
+    assert main(["verify", str(path), "--max-arity", "100000", "--report", str(report)]) == 0
+    bundle = parse_bundle(path.read_text())
+    assert sorted(calls, key=repr) == sorted(
+        ((st, n) for st in bundle.structures.values()
+         for n in range(1, structures.complete_bound(st) + 1)), key=repr)
+    results = json.loads(report.read_text())["results"]
+    assert {(r["max_arity"], r["exhaustive"]) for r in results} == {(100000, True)}
 
 
 def test_verify_kind_filter(fixture_dir, capsys):

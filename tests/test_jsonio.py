@@ -29,6 +29,16 @@ def test_zero_ops_are_not_serialized():
     assert doc["structures"]["subalgebra"]["ops"] == {}
 
 
+def test_huge_max_arity_stores_nothing():
+    # max_arity is only the truncation number: no map is built per arity
+    doc = {"spaces": {"L": {"dims": {"0": 1}}},
+           "structures": {"a": {"kind": "algebra", "max_arity": 10**6, "ops": {}, "space": "L"}}}
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
+    bundle = parse_bundle(text)
+    assert bundle.structures["a"].ops == ()
+    assert serialize_bundle(bundle) == text
+
+
 def test_non_canonical_entries_warn_and_canonicalize():
     doc = json.loads(serialize_bundle(fixtures.build("heisenberg-adjoint")))
     ent = doc["structures"]["heisenberg"]["ops"]["2"]["entries"][0]

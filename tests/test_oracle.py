@@ -6,7 +6,7 @@ import pytest
 from linfty import fixtures, oracle
 from linfty.gfa import GradedSpace, flip_bit
 from linfty.oracle import LabeledOperator, lemma4_equal, lemma4_lhs, lemma4_rhs, naive_residual
-from linfty.structures import LinfModule, residual
+from linfty.structures import LinfModule, complete_bound, residual
 from helpers import KIND_OF, random_algebra, random_modhom, random_module, random_morphism
 
 
@@ -120,6 +120,21 @@ def test_naive_residual_matches_above_max_arity():
             assert slow == residual(st, n)
             nonzero = nonzero or not slow.is_zero
     assert nonzero
+
+
+def test_complete_bound_is_sound():
+    # invalid structures, nonzero at their bound, are zero at the two arities
+    # above it, which first_failure no longer computes
+    rng = random.Random(4)
+    V, W = GradedSpace({-1: 1, 0: 2}), GradedSpace({-2: 1, -1: 1, 0: 1})
+    alg = random_algebra(rng, V, 6, up_to=2)
+    mor = random_morphism(rng, alg, random_algebra(rng, W, 6, up_to=2), 6, up_to=2)
+    mod = random_module(rng, alg, W, 6, up_to=2)
+    hom = random_modhom(rng, mod, random_module(rng, alg, V, 6, up_to=2), 6, up_to=2)
+    for st in (alg, mor, mod, hom):
+        bound = complete_bound(st)
+        assert [naive_residual(st, KIND_OF[type(st)], n).is_zero
+                for n in (bound, bound + 1, bound + 2)] == [False, True, True]
 
 
 def test_naive_residual_raises_when_orderings_disagree(monkeypatch):

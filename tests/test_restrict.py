@@ -1,11 +1,12 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from linfty import fixtures
 from linfty.gfa import GradedSpace, SymMultiMap, flip_bit, unit
-from linfty.jsonio import Bundle, serialize_bundle
+from linfty.jsonio import Bundle, parse_bundle, serialize_bundle
 from linfty.restrict import (
     RestrictionContext,
     RestrictionError,
@@ -95,6 +96,30 @@ def test_abelian_i2_restriction():
         assert module_residual(out, n).is_zero
 
 
+def _redeclared(name, max_arity):
+    doc = json.loads(serialize_bundle(fixtures.build(name)))
+    for sdoc in doc["structures"].values():
+        sdoc["max_arity"] = max_arity
+    return parse_bundle(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name, morphism", [("abelian-i2", "I2"), ("functoriality-chain", "I_chain")])
+def test_huge_truncation_stores_what_six_stores(name, morphism):
+    # every loop is bounded by what is stored, not by max_arity, and the
+    # pulled-back and composed maps end below arity 6 on these fixtures
+    runs = []
+    for N in (6, 10**5):
+        b = _redeclared(name, N)
+        ctx = context(b.structures[morphism], N)
+        homs = b.of_kind(ModuleMorphism)
+        runs.append(([restrict_module(ctx, m).ops for _, m in sorted(b.of_kind(LinfModule).items())],
+                     [restrict_morphism(ctx, h).comps for _, h in sorted(homs.items())],
+                     [compose(g, f).comps for _, f in sorted(homs.items())
+                      for _, g in sorted(homs.items()) if f.target == g.source]))
+    assert runs[0] == runs[1]
+    assert runs[0][0]
+
+
 def test_restrict_module_validation():
     b, ctx = _ctx("abelian-i2", "I2")
     other = fixtures.build("heisenberg-adjoint").structures["adjoint"]
@@ -126,10 +151,11 @@ def test_pullback_matches_set_partition_derivation():
     L = random_algebra(rng, GradedSpace({0: 2, -1: 1}), 4)
     I = random_morphism(rng, Lp, L, 4)
     M = random_module(rng, L, GradedSpace({0: 2, 1: 2}), 4, up_to=4)
-    M2 = random_module(rng, L, GradedSpace({-1: 1, 2: 1}), 4)
+    M2 = random_module(rng, L, GradedSpace({1: 2, 2: 1}), 4)
     f = random_modhom(rng, M, M2, 4, up_to=4)
     ctx = RestrictionContext(I, 4, False)
     restricted = restrict_morphism(ctx, f, verify=False)
+    assert len(restricted.source.ops) == len(restricted.comps) == 3  # nonzero below 4
     for outer, got in ((M.op, restricted.source.op), (f.comp, restricted.comp)):
         for n in range(1, 5):
             for xs in itertools.combinations_with_replacement(Lp.space.basis(), n - 1):

@@ -254,29 +254,32 @@ def test_compose_n1_n2_hand_expansion():
 def test_compose_matches_set_partition_derivation():
     # g o f as the algebra morphism (id + g) o (id + f) on one module input:
     # a set partition of the n inputs contributes only when every box without
-    # the module element is a singleton, since id has no higher components
-    rng = random.Random(11)
-    alg = random_algebra(rng, W2, 4, up_to=4)
-    A = random_module(rng, alg, V2, 4, up_to=4)
-    B = random_module(rng, alg, GradedSpace({1: 1, 2: 2}), 4, up_to=4)
-    C = random_module(rng, alg, W2, 4, up_to=4)
-    f = random_modhom(rng, A, B, 4, up_to=4)
-    g = random_modhom(rng, B, C, 4, up_to=4)
-    gf = compose(g, f)
-    for n in range(1, 5):
-        for xs in itertools.combinations_with_replacement(alg.space.basis(), n - 1):
-            for m in A.space.basis():
-                args = [unit(x) for x in xs] + [unit(m)]
-                bits = 0
-                for boxes in set_partitions(n):
-                    others = [box for box in boxes if n - 1 not in box]
-                    if any(len(box) > 1 for box in others):
-                        continue
-                    mbox = next(box for box in boxes if n - 1 in box)
-                    inner = f.comp(len(mbox)).eval(tuple(args[p] for p in mbox))
-                    outer = tuple(args[box[0]] for box in others) + (inner,)
-                    bits ^= g.comp(len(boxes)).eval(outer).bits
-                assert gf.comp(n).value(xs + (m,)) == bits
+    # the module element is a singleton, since id has no higher components;
+    # g o f is nonzero up to arity 2 * up_to - 1 (truncated at 4)
+    for up_to in (4, 2):
+        rng = random.Random(17)
+        alg = random_algebra(rng, GradedSpace({-1: 2, 0: 1}), 4, up_to=4)
+        A = random_module(rng, alg, V2, 4, up_to=4)
+        B = random_module(rng, alg, GradedSpace({0: 2, 1: 1}), 4, up_to=4)
+        C = random_module(rng, alg, W2, 4, up_to=4)
+        f = random_modhom(rng, A, B, 4, up_to=up_to)
+        g = random_modhom(rng, B, C, 4, up_to=up_to)
+        gf = compose(g, f)
+        assert len(gf.comps) == min(4, 2 * up_to - 1)
+        for n in range(1, 5):
+            for xs in itertools.combinations_with_replacement(alg.space.basis(), n - 1):
+                for m in A.space.basis():
+                    args = [unit(x) for x in xs] + [unit(m)]
+                    bits = 0
+                    for boxes in set_partitions(n):
+                        others = [box for box in boxes if n - 1 not in box]
+                        if any(len(box) > 1 for box in others):
+                            continue
+                        mbox = next(box for box in boxes if n - 1 in box)
+                        inner = f.comp(len(mbox)).eval(tuple(args[p] for p in mbox))
+                        outer = tuple(args[box[0]] for box in others) + (inner,)
+                        bits ^= g.comp(len(boxes)).eval(outer).bits
+                    assert gf.comp(n).value(xs + (m,)) == bits
 
 
 # ---------------------------------------------------------------------------
