@@ -19,7 +19,9 @@ cross-references by name:
 
 A map is stored as {"arity": k, "shift": d, "entries": [{"in": [...], "out":
 [...]}]} where "in" is the canonical multi-index (basis elements as [degree,
-index]) and "out" lists the basis elements of the output, xor-summed.
+index]) and "out" lists the basis elements of the output, xor-summed.  Every
+number is a JSON integer (not a float, string or bool); object keys are
+strings holding integers.
 Entries must be canonical; non-canonical input is accepted, canonicalized and
 reported as a warning.  Serialization is canonical (sorted keys, sorted
 entries, compact separators) so byte equality of serialized structures is
@@ -78,13 +80,20 @@ def digest(text: str) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
+def _integers(values) -> bool:
+    """Whether every value is a JSON integer (bool is an int subclass)."""
+    return set(map(type, values)) <= {int}
+
+
 def _parse_space(name: str, doc: dict) -> GradedSpace:
     if not isinstance(doc, dict) or "dims" not in doc:
         raise FormatError(f"space {name!r}: expected an object with a 'dims' field")
     try:
-        dims = {int(d): int(m) for d, m in doc["dims"].items()}
+        dims = {int(d): m for d, m in doc["dims"].items()}
     except (TypeError, ValueError, AttributeError):
         raise FormatError(f"space {name!r}: malformed dims") from None
+    if not _integers(dims.values()):
+        raise FormatError(f"space {name!r}: every dimension must be an integer")
     if any(m < 0 for m in dims.values()):
         raise FormatError(f"space {name!r}: negative dimension")
     return GradedSpace(dims)
@@ -95,9 +104,10 @@ def _parse_map(where: str, doc: dict, arity: int, shift: int,
                warnings: List[str]) -> SymMultiMap:
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected a map object")
-    if doc.get("arity") != arity or doc.get("shift") != shift:
+    declared = (doc.get("arity"), doc.get("shift"))
+    if declared != (arity, shift) or not _integers(declared):
         raise FormatError(
-            f"{where}: declared arity/shift {doc.get('arity')}/{doc.get('shift')} "
+            f"{where}: declared arity/shift {declared[0]}/{declared[1]} "
             f"do not match the required {arity}/{shift}"
         )
     ents = doc.get("entries", [])
@@ -107,10 +117,12 @@ def _parse_map(where: str, doc: dict, arity: int, shift: int,
     seen_keys = set()
     for ent in ents:
         try:
-            key = tuple((int(d), int(i)) for d, i in ent["in"])
-            outs = [(int(d), int(i)) for d, i in ent["out"]]
+            key = tuple([(d, i) for d, i in ent["in"]])
+            outs = [(d, i) for d, i in ent["out"]]
         except (TypeError, ValueError, KeyError):
             raise FormatError(f"{where}: malformed entry {ent!r}") from None
+        if not _integers(sum(key, ()) + sum(outs, ())):
+            raise FormatError(f"{where}: malformed entry {ent!r}")
         out_deg = sum(d for d, _ in key) + shift
         bits = 0
         for d, i in outs:

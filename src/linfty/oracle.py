@@ -1,6 +1,8 @@
 """
 Independent brute-force verifiers.  They share no code with the fast path:
-from ``structures.py`` they import only the four structure classes.
+from ``structures.py`` they import only the four structure classes.  From
+``perm.py`` they read the unshuffle and composition enumerators as 0-based
+index tuples; those are not the fast path, which imports nothing from perm.
 
 1. A combinatorial oracle for the two-presentation unshuffle identity: both
    displayed sums are expanded into multisets of *labeled operators* (the
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from .gfa import Basis, SymMultiMap
-from .perm import BlockSpec, Perm, apply, primed_unshuffles, slot_rotation, unshuffles
+from .perm import _anchored, _compositions, _indices, _primed
 from .structures import LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism
 
 __all__ = [
@@ -72,30 +74,12 @@ class LabeledOperator:
         return tuple(items)
 
 
-def _split(values: Sequence[int], sizes: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    out, off = [], 0
-    for s in sizes:
-        out.append(tuple(values[off:off + s]))
-        off += s
-    return tuple(out)
-
-
-def _compositions0(k: int) -> Tuple[Tuple[int, ...], ...]:
-    """Nondecreasing compositions of k, including the empty one for k = 0."""
-    if k == 0:
-        return ((),)
-    def rec(n: int, least: int):
-        if n == 0:
-            yield ()
-            return
-        for first in range(least, n + 1):
-            for rest in rec(n - first, first):
-                yield (first,) + rest
-    return tuple(rec(k, 1))
-
-
-def _primed0(sizes: Tuple[int, ...]) -> Tuple[Perm, ...]:
-    return primed_unshuffles(BlockSpec(sizes))
+@functools.lru_cache(maxsize=256)
+def _primed_boxes(comp: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The primed unshuffles of a nondecreasing composition as 0-based index
+    tuples, each cut into its boxes."""
+    cuts = tuple(itertools.accumulate(comp, initial=0))
+    return tuple(tuple(idx[a:b] for a, b in zip(cuts, cuts[1:])) for idx in _primed(comp))
 
 
 def lemma4_lhs(n: int) -> Counter:
@@ -107,20 +91,16 @@ def lemma4_lhs(n: int) -> Counter:
         raise ValueError("needs n >= 2")
     ops: Counter = Counter()
     for p in range(1, n + 1):
-        sizes = tuple(s for s in (p, n - p) if s > 0)
-        for sigma in unshuffles(BlockSpec(sizes)):
-            if sigma(p) != n:
-                continue
-            seq = apply(sigma, tuple(range(1, n + 1)))
-            left, right = seq[:p - 1], seq[p:]
-            for comp_l in _compositions0(p - 1):
-                for phi in _primed0(comp_l):
-                    blocks_l = _split(apply(phi, left), comp_l)
-                    for comp_r in _compositions0(n - p):
+        for idx in _anchored((p, n - p), p, n):
+            left, right = idx[:p - 1], idx[p:]
+            for comp_l in _compositions(p - 1):
+                for boxes in _primed_boxes(comp_l):
+                    blocks_l = tuple(tuple(left[k] + 1 for k in box) for box in boxes)
+                    for comp_r in _compositions(n - p):
                         if not comp_l and not comp_r:
                             continue  # r = s = 0 disallowed
-                        for psi in _primed0(comp_r):
-                            blocks_r = _split(apply(psi, right), comp_r)
+                        for boxes_r in _primed_boxes(comp_r):
+                            blocks_r = tuple(tuple(right[k] + 1 for k in box) for box in boxes_r)
                             ops[LabeledOperator(blocks_l + blocks_r, len(blocks_l))] += 1
     return ops
 
@@ -132,18 +112,13 @@ def lemma4_rhs(n: int) -> Counter:
     if n < 2:
         raise ValueError("needs n >= 2")
     ops: Counter = Counter()
-    for comp in _compositions0(n - 1):
+    for comp in _compositions(n - 1):
         alpha = len(comp)
-        for tau in _primed0(comp):
-            blocks0 = _split(apply(tau, tuple(range(1, n))), comp)
-            slots = blocks0 + (_MODULE,)
+        for boxes in _primed_boxes(comp):
+            slots = tuple(tuple(k + 1 for k in box) for box in boxes) + (_MODULE,)
             for r in range(alpha + 1):
-                sizes = tuple(s for s in (r + 1, alpha - r) if s > 0)
-                for theta in unshuffles(BlockSpec(sizes)):
-                    if theta(r + 1) != alpha + 1:
-                        continue
-                    final = apply(theta, slots)
-                    blocks = tuple(b for b in final if b is not _MODULE)
+                for idx in _anchored((r + 1, alpha - r), r + 1, alpha + 1):
+                    blocks = tuple(slots[k] for k in idx if slots[k] is not _MODULE)
                     ops[LabeledOperator(blocks, r)] += 1
     return ops
 
@@ -159,32 +134,12 @@ def lemma4_equal(n: int) -> bool:
 # Every argument is a pool of basis elements: a basis input is a pool of one,
 # a computed value the pool of its set bits, whose degree comes from the
 # inputs and the shift.  A map is evaluated by xoring one canonical lookup per
-# combination of its pools.  Permutations are 0-based index tuples:
-# tuple(xs[k] for k in idx) == apply(sigma, xs).
+# combination of its pools.  Permutations are perm's 0-based image tuples:
+# tuple(xs[k] for k in idx) is xs rearranged by the permutation.
 
-@functools.lru_cache(maxsize=None)
-def _indices(sizes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """The unshuffles of the given block sizes, zero sizes dropped."""
-    spec = BlockSpec(tuple(s for s in sizes if s > 0))
-    return tuple(tuple(k - 1 for k in sigma.images) for sigma in unshuffles(spec))
-
-
-@functools.lru_cache(maxsize=None)
-def _anchored(n: int, p: int, position: int) -> Tuple[Tuple[int, ...], ...]:
-    """The (p, n - p)-unshuffles with sigma(position) == n."""
-    return tuple(idx for idx in _indices((p, n - p)) if idx[position - 1] == n - 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _primed_boxes(comp: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """The primed unshuffles of a nondecreasing composition, each cut into
-    its boxes."""
-    return tuple(_split(tuple(k - 1 for k in tau.images), comp) for tau in _primed0(comp))
-
-
-@functools.lru_cache(maxsize=None)
 def _rotation(n: int, p: int) -> Tuple[int, ...]:
-    return tuple(k - 1 for k in slot_rotation(n, p).images)
+    """Slot 0 moved past the other n - p slots to the end."""
+    return tuple(range(1, n - p + 1)) + (0,)
 
 
 class _Table:
@@ -247,7 +202,7 @@ def _eval(t: _Table, pools: Sequence[Tuple[Basis, ...]]) -> int:
 def _inserted(summands: list, key: Tuple[Basis, ...]) -> int:
     bits = 0
     for inner, outer, left, right, order in summands:
-        xs = tuple(key[k] for k in left)
+        xs = tuple([key[k] for k in left])
         value = _at(inner, xs)
         if value:
             pools = (_pool(inner, xs, value),) + tuple((key[k],) for k in right)
@@ -262,7 +217,7 @@ def _grouped(summands: list, key: Tuple[Basis, ...]) -> int:
     for outer, boxes in summands:
         pools = []
         for inner, box in boxes:
-            xs = tuple(key[k] for k in box)
+            xs = tuple([key[k] for k in box])
             value = _at(inner, xs)
             if not value:
                 break
@@ -286,7 +241,7 @@ def _naive_morphism(mor: LinfMorphism, n: int, table) -> Tuple[list, list]:
         inner, outer = table(mor.source.op(k)), table(mor.comp(n + 1 - k))
         left += [(inner, outer, idx[:k], idx[k:], None) for idx in _indices((k, n - k))]
     right = []
-    for comp in _compositions0(n):
+    for comp in _compositions(n):
         outer = table(mor.target.op(len(comp)))
         inners = [table(mor.comp(size)) for size in comp]
         right += [(outer, tuple(zip(inners, boxes))) for boxes in _primed_boxes(comp)]
@@ -297,11 +252,13 @@ def _naive_module(mod: LinfModule, n: int, table) -> Tuple[list, list]:
     summands = []
     for p in range(1, n):
         inner, outer = table(mod.algebra.op(p)), table(mod.op(n + 1 - p))
-        summands += [(inner, outer, idx[:p], idx[p:], None) for idx in _anchored(n, p, n)]
+        summands += [(inner, outer, idx[:p], idx[p:], None)
+                     for idx in _anchored((p, n - p), n, n)]
     for p in range(1, n + 1):
         inner, outer = table(mod.op(p)), table(mod.op(n + 1 - p))
         rot = _rotation(n, p)
-        summands += [(inner, outer, idx[:p], idx[p:], rot) for idx in _anchored(n, p, p)]
+        summands += [(inner, outer, idx[:p], idx[p:], rot)
+                     for idx in _anchored((p, n - p), p, n)]
     return summands, []
 
 
@@ -310,11 +267,13 @@ def _naive_modhom(h: ModuleMorphism, n: int, table) -> Tuple[list, list]:
     summands = []
     for i in range(1, n):
         inner, outer = table(alg.op(i)), table(h.comp(n + 1 - i))
-        summands += [(inner, outer, idx[:i], idx[i:], None) for idx in _anchored(n, i, n)]
+        summands += [(inner, outer, idx[:i], idx[i:], None)
+                     for idx in _anchored((i, n - i), n, n)]
     for i in range(1, n + 1):
         inner, outer = table(h.source.op(i)), table(h.comp(n + 1 - i))
         rot = _rotation(n, i)
-        summands += [(inner, outer, idx[:i], idx[i:], rot) for idx in _anchored(n, i, i)]
+        summands += [(inner, outer, idx[:i], idx[i:], rot)
+                     for idx in _anchored((i, n - i), i, n)]
     # h.target.op(r)(ys[:n - s], h.comp(s)(ys[n - s:], mb)) for the unshuffles
     # ys of the n - 1 algebra inputs: the inner value goes to the last slot
     for s in range(1, n + 1):

@@ -17,6 +17,11 @@ the block sizes to be nondecreasing and the first elements of consecutive
 equal-size blocks to be increasing; its members are in bijection with the ways
 of placing {1..n} into an *unordered* collection of boxes of those sizes.
 
+Every unshuffle family is one cached enumerator of 0-based image tuples,
+``_indices``, or a filter on it (primed, anchored); the oracle reads those
+tuples directly.  ``Perm`` objects are built from them only at the public
+boundary, without re-checking what the enumerator makes a bijection.
+
 The empty permutation ``Perm(())`` is allowed (it is the unique element of
 S_0 and shows up as the vacuous inner sum of arity-1 relations), but
 ``identity(0)`` is rejected.
@@ -26,8 +31,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple, TypeVar
+from typing import Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -126,16 +132,58 @@ def apply(sigma: Perm, xs: Sequence[T]) -> Tuple[T, ...]:
     return tuple(xs[i - 1] for i in sigma.images)
 
 
-def _block_starts(sizes: Tuple[int, ...]) -> Tuple[int, ...]:
-    starts = []
-    off = 0
-    for s in sizes:
-        starts.append(off)
-        off += s
-    return tuple(starts)
+@functools.lru_cache(maxsize=256)
+def _indices(sizes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """The unshuffles as 0-based image tuples, lexicographically: each
+    sizes[0]-combination of range(n), then those of sizes[1:] mapped through
+    its increasing complement, a bijection by construction.  Zero sizes allowed."""
+    if not sizes:
+        return ((),)
+    n, first = sum(sizes), sizes[0]
+    # on at most one remaining slot the only tail is the identity
+    gets = [operator.itemgetter(*idx) for idx in _indices(sizes[1:])] if n - first > 1 else [tuple]
+    out: list = []
+    for chosen in itertools.combinations(range(n), first):
+        complement = tuple(k for k in range(n) if k not in chosen)
+        out += [chosen + get(complement) for get in gets]
+    return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
+def _primed(sizes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """The primed unshuffles of nondecreasing sizes as 0-based image tuples:
+    the first index of each block is below that of the next equal-size block."""
+    s = tuple(itertools.accumulate(sizes, initial=0))
+    ties = [(s[l], s[l + 1]) for l in range(len(sizes) - 1) if sizes[l] == sizes[l + 1]]
+    return tuple(idx for idx in _indices(sizes) if all(idx[a] < idx[b] for a, b in ties))
+
+
+@functools.lru_cache(maxsize=1024)
+def _anchored(sizes: Tuple[int, ...], position: int, value: int) -> Tuple[Tuple[int, ...], ...]:
+    """The unshuffles with sigma(position) == value (1-based), 0-based tuples."""
+    return tuple(idx for idx in _indices(sizes) if idx[position - 1] == value - 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _compositions(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The nondecreasing compositions of n >= 0, lexicographically; ((),) for 0."""
+    if n == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(1, n + 1)
+                 for rest in _compositions(n - first) if not rest or rest[0] >= first)
+
+
+def _perms(family: Tuple[Tuple[int, ...], ...]) -> Tuple[Perm, ...]:
+    """Perms of 0-based image tuples that are bijections by construction, so
+    Perm's check is skipped."""
+    out = []
+    for idx in family:
+        p = object.__new__(Perm)
+        object.__setattr__(p, "images", tuple([k + 1 for k in idx]))
+        out.append(p)
+    return tuple(out)
+
+
 def unshuffles(spec: BlockSpec) -> Tuple[Perm, ...]:
     """All (i_1, ..., i_r)-unshuffles of S_n, lexicographic on the images.
 
@@ -144,34 +192,9 @@ def unshuffles(spec: BlockSpec) -> Tuple[Perm, ...]:
     >>> [one_line(p) for p in unshuffles(BlockSpec((1, 3)))]
     ['1234', '2134', '3124', '4123']
     """
-    n = spec.n
-    out: list[Perm] = []
-
-    def extend(prefix: list[int], remaining: Tuple[int, ...], blocks: Tuple[int, ...]) -> None:
-        if not blocks:
-            out.append(Perm(tuple(prefix)))
-            return
-        # combinations of a sorted pool are emitted sorted and in lex order,
-        # so the final image sequences come out lexicographically sorted.
-        for chosen in itertools.combinations(remaining, blocks[0]):
-            rest = tuple(v for v in remaining if v not in chosen)
-            extend(prefix + list(chosen), rest, blocks[1:])
-
-    extend([], tuple(range(1, n + 1)), spec.sizes)
-    return tuple(out)
+    return _perms(_indices(spec.sizes))
 
 
-def _primed_ok(p: Perm, spec: BlockSpec) -> bool:
-    # first elements of consecutive equal-size blocks must be increasing
-    starts = _block_starts(spec.sizes)
-    for l in range(len(spec.sizes) - 1):
-        if spec.sizes[l] == spec.sizes[l + 1]:
-            if p.images[starts[l]] > p.images[starts[l + 1]]:
-                return False
-    return True
-
-
-@functools.lru_cache(maxsize=None)
 def primed_unshuffles(spec: BlockSpec) -> Tuple[Perm, ...]:
     """The S' family: unshuffles for nondecreasing sizes, with ties between
     equal-size blocks broken by the order of their first elements.
@@ -181,7 +204,7 @@ def primed_unshuffles(spec: BlockSpec) -> Tuple[Perm, ...]:
     """
     if not spec.is_sorted():
         raise ValueError(f"primed unshuffles need nondecreasing sizes: {spec.sizes}")
-    return tuple(p for p in unshuffles(spec) if _primed_ok(p, spec))
+    return _perms(_primed(spec.sizes))
 
 
 def filtered_unshuffles(spec: BlockSpec, position: int, value: int) -> Tuple[Perm, ...]:
@@ -189,7 +212,7 @@ def filtered_unshuffles(spec: BlockSpec, position: int, value: int) -> Tuple[Per
     n = spec.n
     if not (1 <= position <= n and 1 <= value <= n):
         raise ValueError(f"anchor ({position}, {value}) out of range for n={n}")
-    return tuple(p for p in unshuffles(spec) if p(position) == value)
+    return _perms(_anchored(spec.sizes, position, value))
 
 
 def slot_rotation(n: int, p: int) -> Perm:
@@ -208,7 +231,6 @@ def slot_rotation(n: int, p: int) -> Perm:
     return Perm(tuple(range(2, q + 1)) + (1,))
 
 
-@functools.lru_cache(maxsize=None)
 def ordered_partitions(n: int) -> Tuple[BlockSpec, ...]:
     """All partitions of n written in nondecreasing order, lexicographically.
 
@@ -217,16 +239,7 @@ def ordered_partitions(n: int) -> Tuple[BlockSpec, ...]:
     """
     if n < 1:
         raise ValueError("ordered_partitions requires n >= 1")
-    return tuple(BlockSpec(sizes) for sizes in _nondecreasing_compositions(n, 1))
-
-
-def _nondecreasing_compositions(n: int, least: int) -> Iterator[Tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(least, n + 1):
-        for rest in _nondecreasing_compositions(n - first, first):
-            yield (first,) + rest
+    return tuple(BlockSpec(sizes) for sizes in _compositions(n))
 
 
 def one_line(p: Perm) -> str:

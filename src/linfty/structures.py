@@ -365,10 +365,14 @@ def _merged(*families: Family) -> Family:
 
 
 def _identity(space: GradedSpace, low_in: Mapping[int, int],
-              low_out: Mapping[int, int]) -> Family:
+              low_out: Mapping[int, int], outer: Family) -> Family:
     """The identity of one summand of semidirect spaces, at arity 1: its
-    basis sits past low_in in the source and past low_out in the target."""
-    return ({(_embed(b, low_in),): (b[0], 1 << _embed(b, low_out)[1]) for b in space.basis()},)
+    basis sits past low_in in the source and past low_out in the target.
+    Only the elements some key of outer holds are stored: no other one can
+    reach a nonzero outer summand."""
+    held = {b for table in outer for key in table for b in key}
+    return ({(_embed(b, low_in),): (b[0], 1 << e[1]) for b in space.basis()
+             if (e := _embed(b, low_out)) in held},)
 
 
 def _one_module_keys(alg: GradedSpace, mod: GradedSpace, n: int) -> Iterator[Key]:
@@ -443,9 +447,10 @@ def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
     low = alg.dims()
     hf = _module_family(h.comps, low)
     lk = _merged(_family(h.source.algebra.ops), _module_family(h.source.ops, low))
+    k = _module_family(h.target.ops, low)
     entries = (_insertion(hf, lk, n)
-               + _grouped(_module_family(h.target.ops, low), _merged(_identity(alg, {}, {}), hf),
-                          n, _one_module_keys(alg, mod, n)))
+               + _grouped(k, _merged(_identity(alg, {}, {}, k), hf), n,
+                          _one_module_keys(alg, mod, n)))
     return _module_map(n, n - 2, alg, h.target.space, mod, entries, alg.dims())
 
 
@@ -525,7 +530,7 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     N = min(f.max_arity, g.max_arity)
     space, mod, low = alg.space, f.source.space, alg.space.dims()
     G = _module_family(g.comps, low)
-    F = _merged(_identity(space, {}, {}), _module_family(f.comps, low))
+    F = _merged(_identity(space, {}, {}, G), _module_family(f.comps, low))
     comps = {n: _module_map(n, n - 1, space, g.target.space, mod,
                             _grouped(G, F, n, _one_module_keys(space, mod, n)), low)
              for n in range(1, min(N, len(f.comps) + len(g.comps) - 1) + 1)}
@@ -549,8 +554,8 @@ def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap],
     src, low = morphism.source.space, morphism.target.space.dims()
     first = maps[0]
     mod = first.last_space
-    inner = _merged(_family(morphism.comps), _identity(mod, src.dims(), low))
     outer = _module_family(maps, low)
+    inner = _merged(_family(morphism.comps), _identity(mod, src.dims(), low, outer))
     top = min(up_to, (len(maps) - 1) * len(morphism.comps) + 1)
     return {n: _module_map(n, first.shift + n - 1, src, first.codomain, mod,
                            _grouped(outer, inner, n, _one_module_keys(src, mod, n)), low)

@@ -1,9 +1,11 @@
 """The benchmark's contract with the program, checked in the regular suite.
 
 bench/run.py looks linfty names up at run time, wraps the functions listed
-in bench/tracing.py, and checks outputs against digests recorded in
-bench/expected.json.  A change that removes such a name, or changes the bytes
-of a recorded output, breaks the benchmark; these tests catch it here first.
+in bench/tracing.py, checks outputs against digests recorded in
+bench/expected.json, and checks that its traced pass finds the predicted
+dominant layer.  A change that removes such a name, changes the bytes of a
+recorded output or moves the dominant layer breaks the benchmark; these
+tests catch it here first.
 """
 
 import sys
@@ -15,6 +17,7 @@ sys.path.insert(0, str(BENCH))
 import pytest  # noqa: E402
 
 import linfty.cli  # noqa: E402
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -34,6 +37,16 @@ def test_one_pass_passes_every_check(name, tmp_path):
         assert set(workload.expected) == {label for label, _ in ops}
     failures = [workload.check(label, call()) for label, call in ops]
     assert [f for f in failures if f is not None] == []
+
+
+@pytest.mark.parametrize("name", ["restrict-chain", "verify-valid"])
+def test_traced_pass_confirms_the_predicted_layer(name, tmp_path, monkeypatch):
+    # the two predictions with the narrowest margins; a change that moves
+    # time between layers fails the benchmark's traced run, so it fails here
+    monkeypatch.setattr(run, "ROOT", tmp_path)
+    monkeypatch.setattr(run, "OUT_DIR", tmp_path)
+    _, failures, _, details = run.traced(workloads.WORKLOADS[name](3), tmp_path)
+    assert failures == [], details["layer_self_s"]
 
 
 def test_tracer_installs_and_leaves_nothing_behind(monkeypatch):

@@ -103,8 +103,16 @@ def _malformed(edit):
     lambda doc, a: a.update(kind=["algebra"]),
     lambda doc, a: doc["structures"]["m"].update(algebra=["a"]),
     lambda doc, a: doc["structures"]["m"].update(max_arity=True),
+    lambda doc, a: a["ops"]["2"].update(entries=[{"in": [[0, 0], [0, 0.9]], "out": []}]),
+    lambda doc, a: a["ops"]["2"].update(entries=[{"in": [[0, 0], [0, 0]], "out": [[0, False]]}]),
+    lambda doc, a: doc["spaces"]["L"].update(dims={"0": 2.7}),
+    lambda doc, a: doc["spaces"]["L"].update(dims={"0": "2"}),
+    lambda doc, a: doc["spaces"]["L"].update(dims={"0": 1, "-1": True}),
+    lambda doc, a: a["ops"].update({"1": {"arity": True, "shift": -1, "entries": []}}),
+    lambda doc, a: a["ops"].update({"1": {"arity": 1, "shift": -1.0, "entries": []}}),
 ], ids=["max_arity-null", "spaces-list", "ops-list", "entries-int", "space-list",
-        "kind-list", "reference-list", "max_arity-true"])
+        "kind-list", "reference-list", "max_arity-true", "in-float", "out-false", "dims-float",
+        "dims-string", "dims-bool", "arity-true", "shift-float"])
 def test_verify_malformed_bundle_exit_two(tmp_path, capsys, edit):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_malformed(edit)))

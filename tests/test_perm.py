@@ -187,6 +187,36 @@ def test_ordered_partitions():
         assert spec.is_sorted() and spec.n == 6
 
 
+def _brute_unshuffles(sizes):
+    """Filter all of S_n, in lexicographic order, by the defining condition."""
+    n, cuts = sum(sizes), list(itertools.accumulate(sizes, initial=0))
+    return [images for images in itertools.permutations(range(1, n + 1))
+            if all(images[k] < images[k + 1]
+                   for a, b in zip(cuts, cuts[1:]) for k in range(a, b - 1))]
+
+
+def test_enumerators_match_brute_force():
+    # the unshuffle enumerator is shared with the oracle, so it is pinned
+    # here against a filter of itertools.permutations, order included
+    for n in range(1, 7):
+        for sizes in _compositions(n):
+            spec, brute = BlockSpec(sizes), _brute_unshuffles(sizes)
+            assert [p.images for p in unshuffles(spec)] == brute
+            if spec.is_sorted():
+                cuts = list(itertools.accumulate(sizes, initial=0))
+                primed = [images for images in brute
+                          if all(images[cuts[l]] < images[cuts[l + 1]]
+                                 for l in range(len(sizes) - 1) if sizes[l] == sizes[l + 1])]
+                assert [p.images for p in primed_unshuffles(spec)] == primed
+            for position in range(1, n + 1):
+                for value in range(1, n + 1):
+                    anchored = [images for images in brute if images[position - 1] == value]
+                    assert [p.images for p in filtered_unshuffles(spec, position, value)] \
+                        == anchored
+        partitions = sorted({tuple(sorted(sizes)) for sizes in _compositions(n)})
+        assert [s.sizes for s in ordered_partitions(n)] == partitions
+
+
 def test_empty_spec_gives_empty_permutation():
     fam = unshuffles(BlockSpec(()))
     assert fam == (Perm(()),)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -345,6 +346,23 @@ def test_compose_is_morphism_and_associative():
     for n in range(1, 7):
         assert modhom_residual(gf, n).is_zero
     assert compose(t, compose(g, f)) == compose(compose(t, g), f)
+
+
+def test_identity_summand_stays_small_on_a_wide_degree():
+    # one identity entry per basis element of a 20000-dimensional degree
+    # holds 1 << index for each, quadratic in the dimension; only elements
+    # an outer key holds are needed, and without operations there are none
+    alg = LinfAlgebra.build(GradedSpace({0: 20000}), 4, {})
+    mod = LinfModule.build(alg, GradedSpace({0: 20000}), 4, {})
+    h = ModuleMorphism.build(mod, mod, 4, {})
+    tracemalloc.start()
+    try:
+        assert modhom_residual(h, 1).is_zero
+        assert compose(h, h) == h
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_compose_requires_matching_modules():
