@@ -33,6 +33,14 @@ Basis = Tuple[int, int]
 Key = Tuple[Basis, ...]
 
 
+def set_bits(bits: int) -> Iterator[int]:
+    """The indices of the set bits, lowest first, one step per set bit."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 class GradedSpace:
     """A finite-dimensional F2 vector space graded by integer degrees."""
 
@@ -110,11 +118,7 @@ class Elem:
 
     def indices(self) -> Iterator[int]:
         """Indices of the set bits (the basis elements appearing in the sum)."""
-        b = self.bits
-        while b:
-            low = b & -b
-            yield low.bit_length() - 1
-            b ^= low
+        return set_bits(self.bits)
 
 
 def unit(b: Basis) -> Elem:

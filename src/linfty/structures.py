@@ -18,17 +18,17 @@ not keys: inner_i(A) meets outer_j(B + e) for each basis element e of its
 value and lands on A u B prod_b C(m_A(b) + m_B(b), m_A(b)) times (m_X(b) the
 multiplicity of b in X), an odd count exactly when m_A(b) & m_B(b) == 0 for
 every b (Kummer).  The grouped sum over set partitions of the inputs of
-outer_r(inner(B_1), .., inner(B_r)) walks the canonical keys.
-Jacobi is one insertion sum, the morphism relation an insertion plus a
-grouped sum.  Modules reduce to algebras (Lada-Markl, "Strongly homotopy Lie
-algebras", Comm. Algebra 1995): an L-module M is the algebra L x| M (l on
-L-inputs, k on inputs with one M element, zero otherwise) and a module
-morphism h is the algebra morphism id_L + h.  The module relations, compose
-and the restriction pullback along I (through I + id_M) are the parts of
-those sums with exactly one M input.  That part needs no filter: the outer
-maps are the module maps alone, each of whose keys holds one M element, and
-an M-valued inner output can fill only that M slot, since M's basis sits
-past L's in the embedding.  Embedding convention, private to this module:
+outer_r(inner(B_1), .., inner(B_r)) walks the canonical keys; only the
+morphism relation l'_r(f, .., f) and the pullback need it.  Modules reduce
+to algebras (Lada-Markl, "Strongly homotopy Lie algebras", Comm. Algebra
+1995): an L-module M is the algebra L x| M (l on L-inputs, k on inputs with
+one M element, zero otherwise) and a module morphism h the algebra morphism
+id_L + h.  The module relations, compose and the pullback along I (through
+I + id_M) are the one-M-input parts of those sums, with no filter: each
+outer key holds one M element, which an M-valued inner output alone can
+fill, M's basis sitting past L's.  id_L is strict, so a partition through
+id_L + h is an s-subset boxed by h_s: the module morphism relation and
+compose are insertion sums.  Embedding convention, private to this module:
 in each degree the basis of L x| M is that of L followed by that of M; keys
 and outputs are mapped back to module-slot-last form.
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .gfa import Basis, Elem, GradedSpace, Key, SymMultiMap, zero_map
+from .gfa import Basis, Elem, GradedSpace, Key, SymMultiMap, set_bits, zero_map
 
 __all__ = [
     "LinfAlgebra",
@@ -208,8 +208,8 @@ def _splits(n: int, i: int) -> Tuple[tuple, ...]:
 
 
 def _values_eval(table: Table, values: Tuple[Tuple[int, int], ...]) -> int:
-    """outer(*values), expanding every value's bits."""
-    pools = [[(d, i) for i in range(bits.bit_length()) if bits >> i & 1] for d, bits in values]
+    """outer(*values), expanding every value over its set bits only."""
+    pools = [[(d, i) for i in set_bits(bits)] for d, bits in values]
     acc = 0
     for combo in itertools.product(*pools):
         got = table.get(tuple(sorted(combo)))
@@ -255,8 +255,8 @@ def _insertion(outer: Family, inner: Family, n: int) -> List[Tuple[Key, int]]:
     times, which by Kummer's theorem is odd exactly when code(A) & code(B)
     == 0 (see _multisets).  Disjoint A and B always count.
 
-    With the module maps alone as outer, every A u B holds exactly one M
-    element: each outer key holds one, and an M-valued inner output (bits
+    With module maps alone as outer (k, h, k' or g), every A u B holds one
+    M element: each outer key holds one, and an M-valued inner output (bits
     past low) can fill only that M slot (see the module docstring).
     """
     live = [(_at(inner, i), _at(outer, n + 1 - i))
@@ -274,10 +274,8 @@ def _insertion(outer: Family, inner: Family, n: int) -> List[Tuple[Key, int]]:
                     under.setdefault(e, []).append((code(key[:p] + key[p + 1:]), bits))
         for key, (d, bits) in tin.items():
             a = code(key)
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                for b, ob in under.get((d, low.bit_length() - 1), ()):
+            for t in set_bits(bits):
+                for b, ob in under.get((d, t), ()):
                     if not a & b:
                         acc[a | b] = acc.get(a | b, 0) ^ ob
     return [(decode(c), bits) for c, bits in acc.items() if bits]
@@ -439,19 +437,17 @@ def module_residual(module: LinfModule, n: int) -> SymMultiMap:
 
 
 def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
-    """The module morphism relation at arity n (module slot last): the
-    morphism relation of id_L + h over inputs with one module element,
-    sum h_j(l_i ..) + sum h_j(k_i ..) + sum k'_r(.., h_s(..))."""
+    """The module morphism relation at arity n (module slot last), the
+    insertion sums h_j(l_i + k_i ..) + k'_j(.., h_i(..)): the morphism
+    relation of id_L + h on one module input, id_L being strict."""
     _check_arity(n)
     alg, mod = h.source.algebra.space, h.source.space
     low = alg.dims()
     hf = _module_family(h.comps, low)
     lk = _merged(_family(h.source.algebra.ops), _module_family(h.source.ops, low))
     k = _module_family(h.target.ops, low)
-    entries = (_insertion(hf, lk, n)
-               + _grouped(k, _merged(_identity(alg, {}, {}, k), hf), n,
-                          _one_module_keys(alg, mod, n)))
-    return _module_map(n, n - 2, alg, h.target.space, mod, entries, alg.dims())
+    entries = _insertion(hf, lk, n) + _insertion(k, hf, n)
+    return _module_map(n, n - 2, alg, h.target.space, mod, entries, low)
 
 
 def residual(structure, n: int) -> SymMultiMap:
@@ -515,9 +511,8 @@ def identity_morphism(module: LinfModule) -> ModuleMorphism:
 
 
 def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
-    """(g o f)_n = sum_{i+j=n+1} sum_{sigma(i)=n} g_j(delta(f_i .. )): the one
-    module element part of the grouped sum of g after id + f, for n up to the
-    smaller truncation arity.
+    """(g o f)_n = sum_{i+j=n+1} sum_{S(i,n-i)} g_j(.., f_i(..)), an insertion
+    sum since id_L is strict, for n up to the smaller truncation arity.
 
     Component n has degree n-1, since (i-1) + (j-1) = n-1; it is zero for
     n >= len(f.comps) + len(g.comps), so no higher component is computed.
@@ -529,10 +524,8 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
         raise ValueError("compose requires morphisms over the same algebra")
     N = min(f.max_arity, g.max_arity)
     space, mod, low = alg.space, f.source.space, alg.space.dims()
-    G = _module_family(g.comps, low)
-    F = _merged(_identity(space, {}, {}, G), _module_family(f.comps, low))
-    comps = {n: _module_map(n, n - 1, space, g.target.space, mod,
-                            _grouped(G, F, n, _one_module_keys(space, mod, n)), low)
+    G, F = _module_family(g.comps, low), _module_family(f.comps, low)
+    comps = {n: _module_map(n, n - 1, space, g.target.space, mod, _insertion(G, F, n), low)
              for n in range(1, min(N, len(f.comps) + len(g.comps) - 1) + 1)}
     return ModuleMorphism.build(f.source, g.target, N, comps)
 

@@ -1,11 +1,12 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from linfty import fixtures
-from linfty.gfa import GradedSpace, flip_bit, unit, zero_map
+from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit, zero_map
 from linfty.structures import (
     LinfAlgebra,
     LinfModule,
@@ -21,6 +22,7 @@ from linfty.structures import (
     residual,
     _insertion,
     _splits,
+    _values_eval,
 )
 from helpers import random_algebra, random_modhom, random_module, random_morphism, set_partitions
 
@@ -283,6 +285,70 @@ def test_compose_matches_set_partition_derivation():
                     assert gf.comp(n).value(xs + (m,)) == bits
 
 
+def test_modhom_right_side_matches_set_partition_derivation():
+    # with l = 0 and the source module's k = 0, the module morphism relation
+    # is its right side alone: k'_r over every set partition of the n inputs,
+    # each box through id_L + h.  id_L has only an arity-1 component, so a
+    # box of algebra inputs of size >= 2 maps to zero; the fast path never
+    # sees those partitions and must agree with the sum that includes them
+    rng = random.Random(23)
+    alg = LinfAlgebra.build(GradedSpace({-1: 2, 0: 1}), 5, {})
+    A = LinfModule.build(alg, GradedSpace({-1: 1, 0: 2}), 5, {})
+    B = random_module(rng, alg, GradedSpace({-1: 2, 0: 1}), 5, up_to=3)
+    h = random_modhom(rng, A, B, 5, up_to=3)
+    nonzero = []
+    for n in range(1, 6):
+        r = modhom_residual(h, n)
+        nonzero.append(not r.is_zero)
+        for xs in itertools.combinations_with_replacement(alg.space.basis(), n - 1):
+            for m in A.space.basis():
+                args = [unit(x) for x in xs] + [unit(m)]
+                bits = 0
+                for boxes in set_partitions(n):
+                    mbox = next(box for box in boxes if n - 1 in box)
+                    values = [args[box[0]] if len(box) == 1
+                              else Elem(sum(args[p].degree for p in box) + len(box) - 1, 0)
+                              for box in boxes if box is not mbox]
+                    inner = h.comp(len(mbox)).eval(tuple(args[p] for p in mbox))
+                    bits ^= B.op(len(boxes)).eval(tuple(values) + (inner,)).bits
+                assert r.value(xs + (m,)) == bits
+    assert any(nonzero)
+
+
+def test_modhom_and_compose_cost_follows_stored_entries():
+    # one k_2 entry and one entry each of h_1 and h_2 on a 200-dimensional
+    # degree: the relation and compose visit those entries, not the
+    # (D + 1) * C(D + n - 2, n - 1) keys with one module element
+    D = 200
+    L, M = GradedSpace({0: D}), GradedSpace({0: D, 1: 1})
+    alg = LinfAlgebra.build(L, 4, {})
+    mod = LinfModule.build(alg, M, 4, {
+        2: SymMultiMap(2, 0, L, M, [(((0, 1), (0, 0)), 1)], last_space=M)})
+    h = ModuleMorphism.build(mod, mod, 4, {
+        1: SymMultiMap(1, 0, L, M, [(((0, 0),), 1)], last_space=M),
+        2: SymMultiMap(2, 1, L, M, [(((0, 0), (0, 0)), 1)], last_space=M)})
+    start = time.perf_counter()
+    counts = [len(modhom_residual(h, n).entries()) for n in (1, 2, 3)]
+    hh = compose(h, h)
+    elapsed = time.perf_counter() - start
+    # h_2(x_0, k_2(x_1, m_0)) at n = 3 has no k_2 term to cancel it
+    assert counts == [0, 0, 1]
+    assert hh == h
+    assert elapsed < 0.5
+
+
+def test_values_eval_cost_follows_set_bits():
+    # a value whose highest set bit is 250000: expanding it index by index
+    # up to that bit takes over a second
+    B = 250000
+    table = {((0, 2), (0, 5)): (0, 1), ((0, 5), (0, B)): (0, 2), ((0, B), (0, B)): (0, 4)}
+    start = time.perf_counter()
+    got = _values_eval(table, ((0, 1 << B | 1 << 2), (0, 1 << 5)))
+    elapsed = time.perf_counter() - start
+    assert got == 1 ^ 2
+    assert elapsed < 0.25
+
+
 # ---------------------------------------------------------------------------
 # classical fixtures
 # ---------------------------------------------------------------------------
@@ -349,9 +415,9 @@ def test_compose_is_morphism_and_associative():
 
 
 def test_identity_summand_stays_small_on_a_wide_degree():
-    # one identity entry per basis element of a 20000-dimensional degree
-    # holds 1 << index for each, quadratic in the dimension; only elements
-    # an outer key holds are needed, and without operations there are none
+    # an identity stored as one 1 << index per basis element of a
+    # 20000-dimensional degree is quadratic in the dimension; the relation
+    # and compose pass id_L through without storing it
     alg = LinfAlgebra.build(GradedSpace({0: 20000}), 4, {})
     mod = LinfModule.build(alg, GradedSpace({0: 20000}), 4, {})
     h = ModuleMorphism.build(mod, mod, 4, {})
