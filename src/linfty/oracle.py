@@ -17,9 +17,12 @@ index tuples; those are not the fast path, which imports nothing from perm.
    onto canonical tuples (raising if two orderings of the same tuple ever
    disagree).  Used for differential testing against the optimized
    residuals.  What keeps it affordable changes none of that: each map's
-   table is built once per call, permutations are index tuples, and a
-   summand whose inner value is zero skips its outer lookups, which would
-   all read zero.
+   table is built once per call, permutations are index tuples, a summand
+   holding a zero map (inner or outer) is never built, since it is
+   identically zero, and a summand whose inner value is zero skips its
+   outer lookups, which would all read zero.  Every ordered basis tuple is
+   still walked, canonicalized and compared with its other orderings, even
+   when no summand is left.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .gfa import Basis, SymMultiMap
 from .perm import _anchored, _compositions, _indices, _primed
@@ -156,10 +159,13 @@ class _Table:
 
 
 def _tables():
-    """A lookup from maps to their tables, keyed by id."""
+    """A lookup from maps to their tables, keyed by id.  A zero map has no
+    table: every summand holding it is zero, so the caller drops it."""
     cache: Dict[int, _Table] = {}
 
-    def table(m: SymMultiMap) -> _Table:
+    def table(m: SymMultiMap) -> Optional[_Table]:
+        if m.is_zero:
+            return None
         t = cache.get(id(m))
         if t is None:
             t = cache[id(m)] = _Table(m)
@@ -231,6 +237,8 @@ def _naive_jacobi(alg: LinfAlgebra, n: int, table) -> Tuple[list, list]:
     summands = []
     for i in range(1, n + 1):
         inner, outer = table(alg.op(i)), table(alg.op(n + 1 - i))
+        if inner is None or outer is None:
+            continue
         summands += [(inner, outer, idx[:i], idx[i:], None) for idx in _indices((i, n - i))]
     return summands, []
 
@@ -239,11 +247,15 @@ def _naive_morphism(mor: LinfMorphism, n: int, table) -> Tuple[list, list]:
     left = []
     for k in range(1, n + 1):
         inner, outer = table(mor.source.op(k)), table(mor.comp(n + 1 - k))
+        if inner is None or outer is None:
+            continue
         left += [(inner, outer, idx[:k], idx[k:], None) for idx in _indices((k, n - k))]
     right = []
     for comp in _compositions(n):
         outer = table(mor.target.op(len(comp)))
         inners = [table(mor.comp(size)) for size in comp]
+        if outer is None or None in inners:
+            continue
         right += [(outer, tuple(zip(inners, boxes))) for boxes in _primed_boxes(comp)]
     return left, right
 
@@ -252,10 +264,14 @@ def _naive_module(mod: LinfModule, n: int, table) -> Tuple[list, list]:
     summands = []
     for p in range(1, n):
         inner, outer = table(mod.algebra.op(p)), table(mod.op(n + 1 - p))
+        if inner is None or outer is None:
+            continue
         summands += [(inner, outer, idx[:p], idx[p:], None)
                      for idx in _anchored((p, n - p), n, n)]
     for p in range(1, n + 1):
         inner, outer = table(mod.op(p)), table(mod.op(n + 1 - p))
+        if inner is None or outer is None:
+            continue
         rot = _rotation(n, p)
         summands += [(inner, outer, idx[:p], idx[p:], rot)
                      for idx in _anchored((p, n - p), p, n)]
@@ -267,10 +283,14 @@ def _naive_modhom(h: ModuleMorphism, n: int, table) -> Tuple[list, list]:
     summands = []
     for i in range(1, n):
         inner, outer = table(alg.op(i)), table(h.comp(n + 1 - i))
+        if inner is None or outer is None:
+            continue
         summands += [(inner, outer, idx[:i], idx[i:], None)
                      for idx in _anchored((i, n - i), n, n)]
     for i in range(1, n + 1):
         inner, outer = table(h.source.op(i)), table(h.comp(n + 1 - i))
+        if inner is None or outer is None:
+            continue
         rot = _rotation(n, i)
         summands += [(inner, outer, idx[:i], idx[i:], rot)
                      for idx in _anchored((i, n - i), i, n)]
@@ -278,6 +298,8 @@ def _naive_modhom(h: ModuleMorphism, n: int, table) -> Tuple[list, list]:
     # ys of the n - 1 algebra inputs: the inner value goes to the last slot
     for s in range(1, n + 1):
         inner, outer = table(h.comp(s)), table(h.target.op(n + 1 - s))
+        if inner is None or outer is None:
+            continue
         rot = _rotation(n, s)
         summands += [(inner, outer, idx[n - s:] + (n - 1,), idx[:n - s], rot)
                      for idx in _indices((n - s, s - 1))]
@@ -296,6 +318,8 @@ def naive_residual(structure, kind: str, n: int) -> SymMultiMap:
     """The relation residual computed the slow straight-line way, on every
     ordered basis tuple.  Bit-identical to the optimized residual by design;
     any disagreement between orderings of one tuple raises."""
+    if n < 1:
+        raise ValueError("arity must be >= 1")
     try:
         expected_type, summands = _KINDS[kind]
     except KeyError:

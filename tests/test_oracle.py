@@ -6,8 +6,10 @@ import pytest
 from linfty import fixtures, oracle
 from linfty.gfa import GradedSpace, flip_bit
 from linfty.oracle import LabeledOperator, lemma4_equal, lemma4_lhs, lemma4_rhs, naive_residual
-from linfty.structures import LinfModule, complete_bound, residual
-from helpers import KIND_OF, random_algebra, random_modhom, random_module, random_morphism
+from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
+                               complete_bound, residual)
+from helpers import (KIND_OF, random_algebra, random_map, random_modhom, random_module,
+                     random_morphism)
 
 
 def test_labeled_operator_validation():
@@ -61,7 +63,8 @@ def test_lemma4_rejects_small_n():
         lemma4_lhs(1)
 
 
-def test_naive_residual_matches_optimized_on_random_structures():
+def _seeded_structures():
+    """One random structure of each kind at seed 42, then at seed 3."""
     # a module space sharing the algebra's 2-dimensional degree, and a module
     # morphism into a module on the algebra's own space
     rng = random.Random(42)
@@ -86,9 +89,69 @@ def test_naive_residual_matches_optimized_on_random_structures():
     mod = random_module(rng, alg, W, 5, up_to=4)
     hom = random_modhom(rng, mod, random_module(rng, alg, U, 5, up_to=4), 5, up_to=4)
     gapped = (alg, mor, mod, hom)
-    for st in shared + gapped:
+    return shared + gapped
+
+
+def test_naive_residual_matches_optimized_on_random_structures():
+    for st in _seeded_structures():
         for n in range(1, 6):
             assert naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)
+
+
+def _agrees(st, n):
+    """Whether naive_residual equals residual; a disagreement between
+    orderings of one tuple counts as disagreeing."""
+    try:
+        return naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)
+    except AssertionError:
+        return False
+
+
+def test_naive_residual_catches_a_dropped_slot_rotation(monkeypatch):
+    # the rotated families feed a module value into the module slot; with
+    # the rotation left out it lands in an algebra slot, and every random
+    # module and module morphism must expose that
+    monkeypatch.setattr(oracle, "_rotation", lambda n, p: tuple(range(n - p + 1)))
+    modules = [st for st in _seeded_structures()
+               if isinstance(st, (LinfModule, ModuleMorphism))]
+    assert len(modules) == 4
+    for st in modules:
+        assert not all(_agrees(st, n) for n in range(1, 6))
+
+
+def _gapped_map(rng, arity, shift, sym, cod, last=None):
+    """A random map with a nonzero value, so zero maps fall only at the
+    arities left out."""
+    while True:
+        m = random_map(rng, arity, shift, sym, cod, last)
+        if not m.is_zero:
+            return m
+
+
+@pytest.mark.parametrize("arities", [(1, 3), (2, 4)])
+def test_naive_residual_matches_on_gapped_operations(arities):
+    # operations at alternate arities only, so every sum mixes summands
+    # holding a zero map with summands holding none, at inner and outer
+    # arities up to 4; the module morphism goes between different spaces
+    rng = random.Random(7)
+    V = GradedSpace({-1: 1, 0: 2, 1: 1})
+    W, U = GradedSpace({-1: 1, 0: 1}), GradedSpace({0: 1, 1: 1})
+    alg = LinfAlgebra.build(V, 5, {k: _gapped_map(rng, k, k - 2, V, V) for k in arities})
+    target = LinfAlgebra.build(W, 5, {k: _gapped_map(rng, k, k - 2, W, W) for k in arities})
+    mor = LinfMorphism.build(alg, target, 5,
+                             {k: _gapped_map(rng, k, k - 1, V, W) for k in arities})
+    mod = LinfModule.build(alg, W, 5, {k: _gapped_map(rng, k, k - 2, V, W, W) for k in arities})
+    other = LinfModule.build(alg, U, 5, {k: _gapped_map(rng, k, k - 2, V, U, U) for k in arities})
+    hom = ModuleMorphism.build(mod, other, 5,
+                               {k: _gapped_map(rng, k, k - 1, V, U, W) for k in arities})
+    nonzero = set()
+    for st in (alg, mor, mod, hom):
+        for n in range(1, 6):
+            slow = naive_residual(st, KIND_OF[type(st)], n)
+            assert slow == residual(st, n)
+            if not slow.is_zero:
+                nonzero.add(type(st))
+    assert nonzero == {LinfAlgebra, LinfMorphism, LinfModule, ModuleMorphism}
 
 
 def test_naive_residual_matches_on_repeated_keys():
@@ -146,6 +209,42 @@ def test_naive_residual_raises_when_orderings_disagree(monkeypatch):
     alg = fixtures.build("heisenberg-adjoint").structures["heisenberg"]
     with pytest.raises(AssertionError, match="not symmetric"):
         naive_residual(alg, "jacobi", 2)
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of oracle's function name."""
+    calls = []
+    f = getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(None)
+        return f(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_naive_residual_walks_every_tuple_but_skips_zero_summands(monkeypatch):
+    # the Heisenberg bracket is l_2 alone, so at n = 5 every Jacobi summand
+    # holds a zero map: none is evaluated, yet each of the 3^5 ordered
+    # tuples is still walked and compared with its other orderings
+    alg = fixtures.build("heisenberg-adjoint").structures["heisenberg"]
+    evals, inserted = _counted(monkeypatch, "_eval"), _counted(monkeypatch, "_inserted")
+    assert naive_residual(alg, "jacobi", 5).is_zero
+    assert (len(evals), len(inserted)) == (0, 3 ** 5)
+    # at n = 3 the summands l_2(l_2(..), ..) stay and are evaluated
+    assert naive_residual(alg, "jacobi", 3).is_zero
+    assert evals
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("bundle, name", [
+    ("heisenberg-adjoint", "heisenberg"), ("heisenberg-adjoint", "inclusion"),
+    ("heisenberg-adjoint", "adjoint"), ("functoriality-chain", "f")])
+def test_naive_residual_rejects_arity_below_one(bundle, name, n):
+    st = fixtures.build(bundle).structures[name]
+    with pytest.raises(ValueError, match="arity must be >= 1"):
+        naive_residual(st, KIND_OF[type(st)], n)
 
 
 def test_naive_residual_matches_on_fixtures():
