@@ -1,17 +1,21 @@
+import inspect
 import itertools
 import random
+import textwrap
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from linfty import fixtures
+from linfty import fixtures, structures
 from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit, zero_map
 from linfty.structures import (
     LinfAlgebra,
     LinfModule,
     LinfMorphism,
     ModuleMorphism,
+    complete_bound,
     compose,
     first_failure,
     identity_morphism,
@@ -20,10 +24,14 @@ from linfty.structures import (
     module_residual,
     morphism_residual,
     residual,
+    _family,
+    _grouped,
+    _grouped_entries,
     _insertion,
     _splits,
     _values_eval,
 )
+from linfty.oracle import naive_residual
 from helpers import random_algebra, random_modhom, random_module, random_morphism, set_partitions
 
 V2 = GradedSpace({0: 2, 1: 2})
@@ -469,6 +477,126 @@ def test_insertion_parity_matches_split_counting():
                     outer = tuple({tuple(sorted(B + (e,))): (0, 1)} if k == n + 1 - i else {}
                                   for k in range(1, n + 1))
                     assert dict(_insertion(outer, inner, n)) == ({R: 1} if count % 2 else {})
+
+
+def test_grouped_parity_matches_set_partition_counting():
+    # one inner entry A_s at each size s of a shape, valued e0 or e0 + e1,
+    # and one outer entry K over {e0, e1}: the grouped sum at each R is the
+    # number of set partitions of R's positions into boxes A_s, each read at
+    # one bit of its value, the bits sorting to K, mod 2.  Repeated sizes
+    # and repeated k's put equal (A, k) pairs in several slots
+    xs = ((0, 0), (0, 1))
+    es = ((5, 0), (5, 1))
+    equal_pairs = odd = 0
+    for n in range(1, 7):
+        partitions = list(set_partitions(n))
+        # per R, how many set partitions of its positions give each box contents
+        boxes_of = {R: Counter(tuple(sorted(tuple(R[p] for p in box) for box in boxes))
+                               for boxes in partitions)
+                    for R in itertools.combinations_with_replacement(xs, n)}
+        for shape in sorted({tuple(sorted(map(len, boxes))) for boxes in partitions}):
+            sizes = sorted(set(shape))
+            for As in itertools.product(*(list(itertools.combinations_with_replacement(xs, s))
+                                          for s in sizes)):
+                for values in itertools.product((1, 3), repeat=len(sizes)):
+                    reads = {A: [e for i, e in enumerate(es) if v >> i & 1]
+                             for A, v in zip(As, values)}
+                    inner = tuple({A: (5, v) for A, v in zip(As, values) if len(A) == k}
+                                  for k in range(1, n + 1))
+                    for K in itertools.combinations_with_replacement(es, len(shape)):
+                        outer = tuple({K: (0, 1)} if r == len(shape) else {}
+                                      for r in range(1, n + 1))
+                        expected = {}
+                        for R, contents in boxes_of.items():
+                            count = sum(
+                                mult * sum(tuple(sorted(ks)) == K
+                                           for ks in itertools.product(*map(reads.get, boxes)))
+                                for boxes, mult in contents.items()
+                                if len(boxes) == len(K) and all(box in reads for box in boxes))
+                            if count % 2:
+                                expected[R] = 1
+                        assert dict(_grouped_entries(outer, inner, n)) == expected
+                        odd += bool(expected)
+                        equal_pairs += len(set(shape)) < len(shape) and len(set(K)) < len(K)
+    assert odd and equal_pairs
+
+
+def _random_morphisms():
+    """Small random morphisms with outer and inner arities up to 4, on
+    spaces with several elements in one degree and with a missing degree.
+    f_s on degree -1 inputs lands in degree -1 and l'_r on those in -2, so
+    every arity can be nonzero."""
+    out = []
+    for seed, (V, W) in enumerate([
+            (GradedSpace({-1: 3, 1: 1}), GradedSpace({-2: 1, -1: 2, 0: 1, 1: 1})),
+            (GradedSpace({-1: 2, 0: 1}), GradedSpace({-2: 2, -1: 2, 0: 1})),
+            (GradedSpace({-1: 2, 0: 1, 1: 1}), GradedSpace({-2: 1, -1: 1, 0: 1, 2: 1}))]):
+        rng = random.Random(100 + seed)
+        src, tgt = random_algebra(rng, V, 7, up_to=4), random_algebra(rng, W, 7, up_to=4)
+        out.append(random_morphism(rng, src, tgt, 7, up_to=4))
+    return out
+
+
+def _grouped_agrees(mor, n):
+    """Whether the entry-driven grouped sum equals the key walk, bit for bit."""
+    l, f = _family(mor.target.ops), _family(mor.comps)
+    keys = itertools.combinations_with_replacement(mor.source.space.basis(), n)
+    return sorted(structures._grouped_entries(l, f, n)) == sorted(_grouped(l, f, n, keys))
+
+
+def test_grouped_entries_matches_the_key_walk_and_the_oracle():
+    nonzero = 0
+    for mor in _random_morphisms():
+        l, f = _family(mor.target.ops), _family(mor.comps)
+        for n in range(1, 8):
+            assert _grouped_agrees(mor, n)
+            nonzero += bool(_grouped_entries(l, f, n))
+        for n in range(1, 5):
+            assert morphism_residual(mor, n) == naive_residual(mor, "morphism", n)
+    assert nonzero > 10
+
+
+def _kernel_mutant(monkeypatch, *edits):
+    """Replace _grouped_entries with a copy of its source in which each
+    (old, new) edit is made; every old text occurs exactly once."""
+    src = textwrap.dedent(inspect.getsource(structures._grouped_entries))
+    for old, new in edits:
+        assert src.count(old) == 1, old
+        src = src.replace(old, new)
+    namespace = dict(vars(structures))
+    exec(compile(src, structures.__file__, "exec"), namespace)
+    monkeypatch.setattr(structures, "_grouped_entries", namespace["_grouped_entries"])
+
+
+@pytest.mark.parametrize("edits", [
+    # no parity test: every summand counts once
+    (("if cy > cap:", "if False:"), ("elif cy == co:", "else:")),
+    # no prod c_p! correction: only carry-free sums count
+    (("co = corr + (rn & -rn).bit_length() - 1", "co = corr"),),
+], ids=["no-parity-test", "no-run-correction"])
+def test_grouped_differential_catches_kernel_mutants(monkeypatch, edits):
+    _kernel_mutant(monkeypatch, *edits)
+    assert not all(_grouped_agrees(mor, n) for mor in _random_morphisms() for n in range(1, 8))
+
+
+def test_morphism_residual_cost_follows_stored_entries():
+    # three f_1 entries, one f_3 entry and one l_2 entry of the target: the
+    # right side l_2(f_1(x), f_3(y, z, w)) is nonzero at n = 4, where x_0
+    # taken three times boxes three ways.  Walking every key of the source
+    # took 30 s at dimension 40
+    W = GradedSpace({0: 2, 2: 1})
+    target = LinfAlgebra.build(W, 6, {2: SymMultiMap(2, 0, W, W, [(((0, 0), (2, 0)), 1)])})
+    x0, x1, x2 = (0, 0), (0, 1), (0, 2)
+    start = time.perf_counter()
+    for D in (10, 40, 160):
+        V = GradedSpace({0: D})
+        f = LinfMorphism.build(LinfAlgebra.build(V, 6, {}), target, 6, {
+            1: SymMultiMap(1, 0, V, W, [((x0,), 1), ((x1,), 2), ((x2,), 1)]),
+            3: SymMultiMap(3, 2, V, W, [((x0, x0, x1), 1)])})
+        assert complete_bound(f) == 6
+        got = [morphism_residual(f, n).entries() for n in range(1, 7)]
+        assert got == [(), (), (), (((x0, x0, x0, x1), 1), ((x0, x0, x1, x2), 1)), (), ()]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_residual_dispatch_and_first_failure():
