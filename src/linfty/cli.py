@@ -22,7 +22,8 @@ from typing import List, Optional, Tuple
 
 from . import fixtures as _fixtures
 from .gfa import Elem
-from .jsonio import Bundle, FormatError, digest, merge_bundles, parse_bundle, serialize_bundle
+from .jsonio import (KINDS, Bundle, FormatError, digest, kind_of, merge_bundles, parse_bundle,
+                     serialize_bundle)
 from .oracle import lemma4_lhs, lemma4_rhs
 from .perm import BlockSpec, filtered_unshuffles, one_line, primed_unshuffles, unshuffles
 from .restrict import (
@@ -44,13 +45,6 @@ from .structures import (
 )
 
 OK, MATH_FAIL, INPUT_ERROR = 0, 1, 2
-
-_KIND_NAMES = {
-    LinfAlgebra: "algebra",
-    LinfMorphism: "morphism",
-    LinfModule: "module",
-    ModuleMorphism: "module_morphism",
-}
 
 
 def _thread_cap() -> int:
@@ -85,6 +79,14 @@ def _merge(read: List[Tuple[str, Bundle]]) -> Bundle:
     return merged
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to the path, or to stdout when the path is '-'."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def _witness_doc(n: int, key: tuple, value: Elem) -> dict:
     return {"arity": n, "inputs": [list(b) for b in key],
             "value": {"degree": value.degree,
@@ -96,7 +98,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--max-arity must be >= 1, got {args.max_arity}")
     bundle = _merge(_read(args.paths))
     items = [(name, st) for name, st in sorted(bundle.structures.items())
-             if args.kind in (None, _KIND_NAMES[type(st)])]
+             if args.kind in (None, kind_of(st))]
     if not items:
         print("nothing to verify", file=sys.stderr)
         return INPUT_ERROR
@@ -109,7 +111,7 @@ def cmd_verify(args) -> int:
             print(f"warning: {name}: --max-arity {N} is below the complete bound {bound}; "
                   "the check is not exhaustive", file=sys.stderr)
         failure = first_failure(st, N)
-        kind = _KIND_NAMES[type(st)]
+        kind = kind_of(st)
         result = {"name": name, "kind": kind, "max_arity": N, "exhaustive": N >= bound,
                   "ok": failure is None}
         if failure is None:
@@ -123,11 +125,7 @@ def cmd_verify(args) -> int:
         report["results"].append(result)
     report["max_arity"] = max(r["max_arity"] for r in report["results"])
     if args.report:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.report == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.report).write_text(text)
+        _write(args.report, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return MATH_FAIL if bad else OK
 
 
@@ -151,40 +149,31 @@ def cmd_restrict(args) -> int:
     mod_name, module = _pick(bundle, LinfModule, args.module_name, "module")
 
     verify = not args.no_verify
-    verified = True
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        ctx = context(morphism, morphism.max_arity) if verify else \
+        ctx = context(morphism) if verify else \
             RestrictionContext(morphism, morphism.max_arity, False)
-        try:
-            restricted = restrict_module(ctx, module, verify=verify)
-        except RestrictionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return MATH_FAIL
         out = Bundle()
         out.spaces = dict(bundle.spaces)
         out.structures = {name: st for name, st in bundle.structures.items()
                           if isinstance(st, LinfAlgebra)}
-        out.structures[f"{mod_name}_restricted"] = restricted
-        for _, extra in read[2:]:
-            # the extra file was already merged; restrict every module
-            # morphism it brought along
-            for name, st in extra.structures.items():
-                if isinstance(st, ModuleMorphism):
-                    try:
+        try:
+            out.structures[f"{mod_name}_restricted"] = restrict_module(ctx, module, verify=verify)
+            for _, extra in read[2:]:
+                # the extra file was already merged; restrict every module
+                # morphism it brought along
+                for name, st in extra.structures.items():
+                    if isinstance(st, ModuleMorphism):
                         res = restrict_morphism(ctx, st, verify=verify)
-                    except RestrictionError as exc:
-                        print(f"error: {exc}", file=sys.stderr)
-                        return MATH_FAIL
-                    out.structures[f"{name}_restricted_source"] = res.source
-                    out.structures[f"{name}_restricted_target"] = res.target
-                    out.structures[f"{name}_restricted"] = res
+                        out.structures[f"{name}_restricted_source"] = res.source
+                        out.structures[f"{name}_restricted_target"] = res.target
+                        out.structures[f"{name}_restricted"] = res
+        except RestrictionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return MATH_FAIL
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-        if issubclass(w.category, UnverifiedInputWarning):
-            verified = False
-    if not verify:
-        verified = False
+    verified = verify and not any(issubclass(w.category, UnverifiedInputWarning) for w in caught)
 
     provenance = {
         "command": "restrict",
@@ -192,11 +181,7 @@ def cmd_restrict(args) -> int:
         "max_arity": morphism.max_arity,
         "verified": verified,
     }
-    text = serialize_bundle(out, provenance=provenance)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text)
+    _write(args.output, serialize_bundle(out, provenance=provenance))
     return OK
 
 
@@ -212,12 +197,8 @@ def cmd_compose(args) -> int:
         if isinstance(st, (LinfAlgebra, LinfModule)) and st in keep:
             out.structures[name] = st
     out.structures[f"{g_name}_after_{f_name}"] = composed
-    text = serialize_bundle(out, provenance={"command": "compose",
-                                             "f": f_name, "g": g_name})
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text)
+    _write(args.output, serialize_bundle(out, provenance={"command": "compose",
+                                                          "f": f_name, "g": g_name}))
     return OK
 
 
@@ -289,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arity", type=int, default=None,
                    help="check n <= N (default: each structure's complete bound, "
                         "from its highest nonzero operations)")
-    p.add_argument("--kind", choices=sorted(_KIND_NAMES.values()))
+    p.add_argument("--kind", choices=list(KINDS))
     p.add_argument("--report", help="write the JSON report here ('-' for stdout)")
     p.set_defaults(fn=cmd_verify)
 

@@ -26,6 +26,15 @@ Entries must be canonical; non-canonical input is accepted, canonicalized and
 reported as a warning.  Serialization is canonical (sorted keys, sorted
 entries, compact separators) so byte equality of serialized structures is
 meaningful.
+
+The four kinds are described once, in the table KINDS: for each kind name,
+its class, its part fields in the order its ``build`` takes them (each naming
+a space, an algebra or a module of the bundle) and its maps field ("ops" or
+"comps").  Parsing and serialization are one loop over that table, and a
+field it does not list is an error.  A map's arity, shift, slot spaces and
+canonical form are read off the zero map that a structure storing no map
+returns for that arity (``op(k)`` or ``comp(k)``), so this module restates
+none of them.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .gfa import GradedSpace, SymMultiMap
+from .gfa import GradedSpace, SymMultiMap, set_bits
 from .structures import LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism
 
 __all__ = [
@@ -52,6 +61,28 @@ Structure = object  # LinfAlgebra | LinfMorphism | LinfModule | ModuleMorphism
 
 class FormatError(ValueError):
     """Malformed or unresolvable structure file."""
+
+
+# kind name -> (class, its part fields in build order with what each names,
+# its maps field); a structure refers only to kinds listed before its own
+KINDS: Dict[str, Tuple[type, Tuple[Tuple[str, type], ...], str]] = {
+    "algebra": (LinfAlgebra, (("space", GradedSpace),), "ops"),
+    "module": (LinfModule, (("algebra", LinfAlgebra), ("space", GradedSpace)), "ops"),
+    "morphism": (LinfMorphism, (("source", LinfAlgebra), ("target", LinfAlgebra)), "comps"),
+    "module_morphism": (ModuleMorphism, (("source", LinfModule), ("target", LinfModule)), "comps"),
+}
+# the fields a structure object of each kind, and a map object, may hold
+_FIELDS = {kind: frozenset(("kind", "max_arity", maps, *(f for f, _ in parts)))
+           for kind, (_, parts, maps) in KINDS.items()}
+_MAP_FIELDS = frozenset(("arity", "shift", "entries"))
+
+
+def kind_of(st: Structure, what: str = "structure") -> str:
+    """The table's name for the kind of st."""
+    for kind, (cls, _, _) in KINDS.items():
+        if isinstance(st, cls):
+            return kind
+    raise FormatError(f"{what}: unserializable type {type(st).__name__}")
 
 
 @dataclass
@@ -99,20 +130,22 @@ def _parse_space(name: str, doc: dict) -> GradedSpace:
     return GradedSpace(dims)
 
 
-def _parse_map(where: str, doc: dict, arity: int, shift: int,
-               sym: GradedSpace, last: Optional[GradedSpace], cod: GradedSpace,
-               warnings: List[str]) -> SymMultiMap:
+def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) -> SymMultiMap:
+    """The map described by doc, whose arity, shift, slot spaces and canonical
+    form are those of the zero map of its place in the structure."""
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected a map object")
+    _known(doc, _MAP_FIELDS, where)
     declared = (doc.get("arity"), doc.get("shift"))
-    if declared != (arity, shift) or not _integers(declared):
+    if declared != (zero.arity, zero.shift) or not _integers(declared):
         raise FormatError(
             f"{where}: declared arity/shift {declared[0]}/{declared[1]} "
-            f"do not match the required {arity}/{shift}"
+            f"do not match the required {zero.arity}/{zero.shift}"
         )
     ents = doc.get("entries", [])
     if not isinstance(ents, list):
         raise FormatError(f"{where}: 'entries' must be a list")
+    cod = zero.codomain
     entries: list[Tuple[tuple, int]] = []
     seen_keys = set()
     for ent in ents:
@@ -123,7 +156,7 @@ def _parse_map(where: str, doc: dict, arity: int, shift: int,
             raise FormatError(f"{where}: malformed entry {ent!r}") from None
         if not _integers(sum(key, ()) + sum(outs, ())):
             raise FormatError(f"{where}: malformed entry {ent!r}")
-        out_deg = sum(d for d, _ in key) + shift
+        out_deg = sum(d for d, _ in key) + zero.shift
         bits = 0
         for d, i in outs:
             if d != out_deg:
@@ -135,8 +168,7 @@ def _parse_map(where: str, doc: dict, arity: int, shift: int,
             if bits & (1 << i):
                 warnings.append(f"{where}: duplicate output element {(d, i)} canonicalized")
             bits ^= 1 << i
-        n_sym = arity - 1 if last is not None else arity
-        ckey = tuple(sorted(key[:n_sym])) + tuple(key[n_sym:])
+        ckey = zero.canonical_key(key)
         if ckey != key:
             warnings.append(f"{where}: entry {list(key)} canonicalized on load")
         if ckey in seen_keys:
@@ -144,13 +176,13 @@ def _parse_map(where: str, doc: dict, arity: int, shift: int,
         seen_keys.add(ckey)
         entries.append((ckey, bits))
     try:
-        return SymMultiMap(arity, shift, sym, cod, entries, last_space=last)
+        return SymMultiMap(zero.arity, zero.shift, zero.sym_space, cod, entries,
+                           last_space=zero.last_space)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
 
 
-def _parse_op_table(where: str, doc: dict, max_arity: int, shift_of,
-                    sym: GradedSpace, last: Optional[GradedSpace], cod: GradedSpace,
+def _parse_op_table(where: str, doc: dict, max_arity: int, zero_of,
                     warnings: List[str]) -> Dict[int, SymMultiMap]:
     out: Dict[int, SymMultiMap] = {}
     for key, mdoc in _object(doc, f"{where}: operation table").items():
@@ -160,7 +192,7 @@ def _parse_op_table(where: str, doc: dict, max_arity: int, shift_of,
             raise FormatError(f"{where}: non-integer arity key {key!r}") from None
         if not 1 <= k <= max_arity:
             raise FormatError(f"{where}: arity {k} outside 1..{max_arity}")
-        out[k] = _parse_map(f"{where}[{k}]", mdoc, k, shift_of(k), sym, last, cod, warnings)
+        out[k] = _parse_map(f"{where}[{k}]", mdoc, zero_of(k), warnings)
     return out
 
 
@@ -177,6 +209,12 @@ def _require(doc: dict, name: str, what: str):
     return doc[name]
 
 
+def _known(doc: dict, fields: frozenset, what: str) -> None:
+    """A misspelled field would otherwise be dropped without a word."""
+    if not doc.keys() <= fields:
+        raise FormatError(f"{what}: unknown field(s) {sorted(doc.keys() - fields)}")
+
+
 def parse_bundle(text: str) -> Bundle:
     """Parse one JSON document into a resolved bundle.
 
@@ -186,6 +224,8 @@ def parse_bundle(text: str) -> Bundle:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("top level must be an object")
 
@@ -194,57 +234,37 @@ def parse_bundle(text: str) -> Bundle:
         bundle.spaces[name] = _parse_space(name, sdoc)
     sdocs = _object(doc.get("structures"), "'structures'")
 
-    def space_of(name: str, what: str) -> GradedSpace:
-        if not isinstance(name, str) or name not in bundle.spaces:
-            raise FormatError(f"{what}: unknown space {name!r}")
-        return bundle.spaces[name]
+    def resolve(name, ref: type, what: str):
+        pool = bundle.spaces if ref is GradedSpace else bundle.structures
+        found = pool.get(name) if isinstance(name, str) else None
+        if not isinstance(found, ref):
+            raise FormatError(f"{what}: reference {name!r} does not resolve to a {ref.__name__}")
+        return found
 
-    def structure_of(name: str, cls, what: str):
-        s = bundle.structures.get(name) if isinstance(name, str) else None
-        if not isinstance(s, cls):
-            raise FormatError(f"{what}: reference {name!r} does not resolve to a {cls.__name__}")
-        return s
-
-    # two passes: algebras and modules first, then the morphism kinds
-    order = {"algebra": 0, "module": 1, "morphism": 2, "module_morphism": 3}
+    # in table order, so every reference names a structure parsed before it
+    rank = {kind: i for i, kind in enumerate(KINDS)}
     try:
-        ranked = sorted(sdocs.items(), key=lambda kv: order[kv[1].get("kind")])
-    except (KeyError, AttributeError, TypeError):
+        ranked = sorted(sdocs.items(), key=lambda kv: rank[kv[1]["kind"]])
+    except (KeyError, TypeError):
         raise FormatError("every structure needs a valid 'kind' field") from None
 
     for name, s in ranked:
         kind = s["kind"]
+        cls, fields, maps_field = KINDS[kind]
         what = f"{kind} {name!r}"
+        _known(s, _FIELDS[kind], what)
         max_arity = _require(s, "max_arity", what)
         if type(max_arity) is not int or max_arity < 1:  # bool is an int subclass
             raise FormatError(f"{what}: max_arity must be an integer >= 1")
-        if kind == "algebra":
-            space = space_of(_require(s, "space", what), what)
-            ops = _parse_op_table(what, s.get("ops"), max_arity, lambda k: k - 2,
-                                  space, None, space, bundle.warnings)
-            bundle.structures[name] = LinfAlgebra.build(space, max_arity, ops)
-        elif kind == "module":
-            alg = structure_of(_require(s, "algebra", what), LinfAlgebra, what)
-            space = space_of(_require(s, "space", what), what)
-            ops = _parse_op_table(what, s.get("ops"), max_arity, lambda k: k - 2,
-                                  alg.space, space, space, bundle.warnings)
-            bundle.structures[name] = LinfModule.build(alg, space, max_arity, ops)
-        elif kind == "morphism":
-            src = structure_of(_require(s, "source", what), LinfAlgebra, what)
-            tgt = structure_of(_require(s, "target", what), LinfAlgebra, what)
-            comps = _parse_op_table(what, s.get("comps"), max_arity, lambda k: k - 1,
-                                    src.space, None, tgt.space, bundle.warnings)
-            bundle.structures[name] = LinfMorphism.build(src, tgt, max_arity, comps)
-        elif kind == "module_morphism":
-            src = structure_of(_require(s, "source", what), LinfModule, what)
-            tgt = structure_of(_require(s, "target", what), LinfModule, what)
-            if src.algebra != tgt.algebra:
-                raise FormatError(f"{what}: source and target modules live over different algebras")
-            comps = _parse_op_table(what, s.get("comps"), max_arity, lambda k: k - 1,
-                                    src.algebra.space, src.space, tgt.space, bundle.warnings)
-            bundle.structures[name] = ModuleMorphism.build(src, tgt, max_arity, comps)
-        else:
-            raise FormatError(f"{what}: unknown kind")
+        parts = [resolve(_require(s, f, what), ref, what) for f, ref in fields]
+        # op(k) / comp(k) of the structure that stores no map: the zero map
+        # of arity k, whose signature every parsed map then has
+        zero_of = getattr(cls(*parts, max_arity, ()), maps_field[:-1])
+        maps = _parse_op_table(what, s.get(maps_field), max_arity, zero_of, bundle.warnings)
+        try:  # build checks the parts: a module morphism's modules share an algebra
+            bundle.structures[name] = cls.build(*parts, max_arity, maps)
+        except ValueError as exc:
+            raise FormatError(f"{what}: {exc}") from None
     return bundle
 
 
@@ -272,9 +292,8 @@ def _map_doc(m: SymMultiMap) -> dict:
     entries = []
     for key, bits in m.entries():
         out_deg = sum(d for d, _ in key) + m.shift
-        outs = [[out_deg, i] for i in sorted(
-            i for i in range(m.codomain.dim(out_deg)) if bits >> i & 1)]
-        entries.append({"in": [[d, i] for d, i in key], "out": outs})
+        entries.append({"in": [[d, i] for d, i in key],
+                        "out": [[out_deg, i] for i in set_bits(bits)]})
     return {"arity": m.arity, "shift": m.shift, "entries": entries}
 
 
@@ -288,53 +307,26 @@ def serialize_bundle(bundle: Bundle, provenance: Optional[dict] = None) -> str:
     for name, sp in bundle.spaces.items():
         space_names.setdefault(sp, name)
 
-    def space_ref(sp: GradedSpace, what: str) -> str:
-        if sp not in space_names:
-            raise FormatError(f"{what}: its space has no name in the bundle")
-        return space_names[sp]
-
-    def structure_ref(st, what: str) -> str:
+    def reference(part, ref: type, what: str) -> str:
+        if ref is GradedSpace:
+            if part not in space_names:
+                raise FormatError(f"{what}: its space has no name in the bundle")
+            return space_names[part]
         for name, other in bundle.structures.items():
-            if other == st:
+            if other == part:
                 return name
         raise FormatError(f"{what}: cross-reference to a structure missing from the bundle")
 
     sdocs = {}
     for name, st in bundle.structures.items():
         what = f"structure {name!r}"
-        if isinstance(st, LinfAlgebra):
-            sdocs[name] = {
-                "kind": "algebra",
-                "space": space_ref(st.space, what),
-                "max_arity": st.max_arity,
-                "ops": _op_table_doc(st.ops),
-            }
-        elif isinstance(st, LinfModule):
-            sdocs[name] = {
-                "kind": "module",
-                "algebra": structure_ref(st.algebra, what),
-                "space": space_ref(st.space, what),
-                "max_arity": st.max_arity,
-                "ops": _op_table_doc(st.ops),
-            }
-        elif isinstance(st, LinfMorphism):
-            sdocs[name] = {
-                "kind": "morphism",
-                "source": structure_ref(st.source, what),
-                "target": structure_ref(st.target, what),
-                "max_arity": st.max_arity,
-                "comps": _op_table_doc(st.comps),
-            }
-        elif isinstance(st, ModuleMorphism):
-            sdocs[name] = {
-                "kind": "module_morphism",
-                "source": structure_ref(st.source, what),
-                "target": structure_ref(st.target, what),
-                "max_arity": st.max_arity,
-                "comps": _op_table_doc(st.comps),
-            }
-        else:
-            raise FormatError(f"{what}: unserializable type {type(st).__name__}")
+        kind = kind_of(st, what)
+        _, fields, maps_field = KINDS[kind]
+        sdoc = {"kind": kind, "max_arity": st.max_arity,
+                maps_field: _op_table_doc(getattr(st, maps_field))}
+        for f, ref in fields:
+            sdoc[f] = reference(getattr(st, f), ref, what)
+        sdocs[name] = sdoc
 
     doc = {
         "spaces": {name: {"dims": {str(d): m for d, m in sp.dims().items()}}

@@ -35,6 +35,7 @@ from .structures import (
     LinfMorphism,
     ModuleMorphism,
     complete_bound,
+    compose,
     first_failure,
     pullback,
 )
@@ -101,17 +102,32 @@ def context(morphism: LinfMorphism, max_arity: Optional[int] = None) -> Restrict
     return RestrictionContext(morphism, N, ok)
 
 
-def _rebuild_arity_one(m: SymMultiMap, new_sym) -> SymMultiMap:
-    # an arity-1 module map has no symmetric slots; only the slot space label changes
-    return SymMultiMap(1, m.shift, new_sym, m.codomain, m.entries(), last_space=m.last_space)
-
-
-def _check_inputs(ctx: RestrictionContext, verified: bool) -> bool:
-    if not (ctx.morphism_verified and verified):
+def _restricted(ctx: RestrictionContext, st, algebra: LinfAlgebra, what: str,
+                off_target: str, verify: bool, build):
+    """The checks both restrictions share, around build(N), which computes
+    the pullback of st at the context's truncation N.  st must live over the
+    target algebra at truncation N.  With ``verify`` its relations are
+    checked first and, when they and the morphism's hold, the output's
+    afterwards, where a failure raises RestrictionError."""
+    if algebra != ctx.target:
+        raise ValueError(off_target)
+    N = ctx.max_arity
+    if st.max_arity != N:
+        raise ValueError(f"truncation mismatch: {what} at {st.max_arity}, context at {N}")
+    inputs_ok = verify and ctx.morphism_verified and first_failure(st, N) is None
+    if verify and not inputs_ok:
+        # stacklevel 3: the caller of restrict_module / restrict_morphism
         _warnings.warn("restriction computed from unverified inputs; output not checked",
                        UnverifiedInputWarning, stacklevel=3)
-        return False
-    return True
+    result = build(N)
+    if inputs_ok:
+        failure = first_failure(result, N)
+        if failure is not None:
+            raise RestrictionError(
+                f"restricted {what} fails its relation at arity "
+                f"{failure[0]} on {failure[1]}; inputs were verified, so this "
+                "indicates an implementation bug")
+    return result
 
 
 def restrict_module(ctx: RestrictionContext, module: LinfModule, *, verify: bool = True) -> LinfModule:
@@ -122,48 +138,22 @@ def restrict_module(ctx: RestrictionContext, module: LinfModule, *, verify: bool
     ``verify`` the input relations are checked first and the output relations
     afterwards; an output failure for verified inputs raises.
     """
-    if module.algebra != ctx.target:
-        raise ValueError("module is not over the target algebra of the context")
-    if module.max_arity != ctx.max_arity:
-        raise ValueError(
-            f"truncation mismatch: module at {module.max_arity}, context at {ctx.max_arity}")
-    N = ctx.max_arity
-    inputs_ok = verify and _check_inputs(ctx, first_failure(module, N) is None)
-
-    result = LinfModule.build(ctx.source, module.space, N, pullback(ctx.morphism, module.ops, N))
-
-    if inputs_ok:
-        failure = first_failure(result, N)
-        if failure is not None:
-            raise RestrictionError(
-                "restricted module fails its relation at arity "
-                f"{failure[0]} on {failure[1]}; inputs were verified, so this "
-                "indicates an implementation bug")
-    return result
+    return _restricted(
+        ctx, module, module.algebra, "module",
+        "module is not over the target algebra of the context", verify,
+        lambda N: LinfModule.build(ctx.source, module.space, N,
+                                   pullback(ctx.morphism, module.ops, N)))
 
 
 def restrict_morphism(ctx: RestrictionContext, f: ModuleMorphism, *, verify: bool = True) -> ModuleMorphism:
     """The pullback of a module morphism; its first component is f_1 verbatim."""
-    if f.source.algebra != ctx.target:
-        raise ValueError("morphism is not between modules over the target algebra")
-    if f.max_arity != ctx.max_arity:
-        raise ValueError(
-            f"truncation mismatch: morphism at {f.max_arity}, context at {ctx.max_arity}")
-    N = ctx.max_arity
-    inputs_ok = verify and _check_inputs(ctx, first_failure(f, N) is None)
+    def build(N: int) -> ModuleMorphism:
+        src = restrict_module(ctx, f.source, verify=False)
+        tgt = restrict_module(ctx, f.target, verify=False)
+        return ModuleMorphism.build(src, tgt, N, pullback(ctx.morphism, f.comps, N))
 
-    src = restrict_module(ctx, f.source, verify=False)
-    tgt = restrict_module(ctx, f.target, verify=False)
-    result = ModuleMorphism.build(src, tgt, N, pullback(ctx.morphism, f.comps, N))
-
-    if inputs_ok:
-        failure = first_failure(result, N)
-        if failure is not None:
-            raise RestrictionError(
-                "restricted morphism fails its relation at arity "
-                f"{failure[0]} on {failure[1]}; inputs were verified, so this "
-                "indicates an implementation bug")
-    return result
+    return _restricted(ctx, f, f.source.algebra, "morphism",
+                       "morphism is not between modules over the target algebra", verify, build)
 
 
 @dataclass(frozen=True)
@@ -182,8 +172,6 @@ class FunctorialityReport:
 def check_functoriality(ctx: RestrictionContext, f: ModuleMorphism, g: ModuleMorphism) -> FunctorialityReport:
     """Compare restrict(g o f) with restrict(g) o restrict(f), component by
     stored component (both end at or below the context arity)."""
-    from .structures import compose  # local to keep the import graph flat
-
     lhs = restrict_morphism(ctx, compose(g, f), verify=False)
     rhs = compose(restrict_morphism(ctx, g, verify=False),
                   restrict_morphism(ctx, f, verify=False))
@@ -222,5 +210,9 @@ def classical_restriction(phi: LinfMorphism, module: LinfModule) -> LinfModule:
                 entries.append(((y, mb), bits))
     pulled = SymMultiMap(2, 0, phi.source.space, module.space, entries,
                          last_space=module.space)
-    ops = {1: _rebuild_arity_one(module.op(1), phi.source.space), 2: pulled}
+    # an arity-1 module map has no symmetric slots; only the slot space label changes
+    k1 = module.op(1)
+    ops = {1: SymMultiMap(1, k1.shift, phi.source.space, k1.codomain, k1.entries(),
+                          last_space=k1.last_space),
+           2: pulled}
     return LinfModule.build(phi.source, module.space, module.max_arity, ops)

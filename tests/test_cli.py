@@ -3,9 +3,9 @@ import json
 import pytest
 
 from linfty import fixtures, structures
-from linfty.cli import main
+from linfty.cli import _build_parser, main
 from linfty.gfa import GradedSpace, SymMultiMap
-from linfty.jsonio import Bundle, parse_bundle, serialize_bundle
+from linfty.jsonio import KINDS, Bundle, parse_bundle, serialize_bundle
 from linfty.restrict import classical_restriction
 from linfty.structures import LinfAlgebra, LinfModule, LinfMorphism
 
@@ -110,15 +110,33 @@ def _malformed(edit):
     lambda doc, a: doc["spaces"]["L"].update(dims={"0": 1, "-1": True}),
     lambda doc, a: a["ops"].update({"1": {"arity": True, "shift": -1, "entries": []}}),
     lambda doc, a: a["ops"].update({"1": {"arity": 1, "shift": -1.0, "entries": []}}),
+    lambda doc, a: doc["structures"].update(i={"kind": "morphism", "source": "a", "target": "a",
+                                               "max_arity": 2, "ops": {}}),
+    lambda doc, a: a["ops"]["2"].update(entires=a["ops"]["2"].pop("entries")),
 ], ids=["max_arity-null", "spaces-list", "ops-list", "entries-int", "space-list",
         "kind-list", "reference-list", "max_arity-true", "in-float", "out-false", "dims-float",
-        "dims-string", "dims-bool", "arity-true", "shift-float"])
+        "dims-string", "dims-bool", "arity-true", "shift-float", "morphism-ops", "entries-misspelled"])
 def test_verify_malformed_bundle_exit_two(tmp_path, capsys, edit):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_malformed(edit)))
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_deeply_nested_json_exit_two(tmp_path, capsys):
+    # the decoder recurses once per level and stops at the recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_kind_choices_are_the_table():
+    verify = _build_parser()._subparsers._group_actions[0].choices["verify"]
+    kind = next(a for a in verify._actions if a.dest == "kind")
+    assert kind.choices == list(KINDS)
 
 
 def test_verify_far_above_the_bound_stops_at_it(fixture_dir, tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from linfty import fixtures
-from linfty.jsonio import FormatError, digest, merge_bundles, parse_bundle, serialize_bundle
-from linfty.structures import LinfAlgebra, LinfModule
+from linfty.gfa import GradedSpace, SymMultiMap
+from linfty.jsonio import Bundle, FormatError, digest, merge_bundles, parse_bundle, serialize_bundle
+from linfty.structures import LinfAlgebra, LinfModule, LinfMorphism
 
 
 def test_round_trip_all_fixtures():
@@ -106,3 +108,35 @@ def test_of_kind():
     b = fixtures.build("functoriality-chain")
     assert set(b.of_kind(LinfModule)) == {"A", "B", "C"}
     assert set(b.of_kind(LinfAlgebra)) == {"chain_source", "chain_target"}
+
+
+def test_module_morphism_over_different_algebras_is_a_format_error():
+    doc = json.loads(serialize_bundle(fixtures.build("functoriality-chain")))
+    structures = doc["structures"]
+    structures["other"] = dict(structures["chain_target"])
+    structures["B"]["algebra"] = "other"  # equal content, but its own algebra
+    structures["other"]["space"] = "chain_src_space"
+    with pytest.raises(FormatError, match="same algebra"):
+        parse_bundle(json.dumps(doc))
+
+
+def test_serializing_a_type_outside_the_table_is_a_format_error():
+    bundle = fixtures.build("abelian-i2")
+    bundle.structures["stray"] = object()
+    with pytest.raises(FormatError, match="unserializable type object"):
+        serialize_bundle(bundle)
+
+
+def test_serialize_cost_follows_set_bits():
+    # 50 one-bit outputs on a 32000-dimensional codomain: testing every
+    # codomain index for every entry took 1.49 s
+    V, W = GradedSpace({0: 50}), GradedSpace({0: 32000})
+    src, tgt = LinfAlgebra.build(V, 2, {}), LinfAlgebra.build(W, 2, {})
+    f1 = SymMultiMap(1, 0, V, W, [(((0, i),), 1 << (31999 - i)) for i in range(50)])
+    bundle = Bundle({"V": V, "W": W},
+                    {"s": src, "t": tgt, "f": LinfMorphism.build(src, tgt, 2, {1: f1})})
+    start = time.perf_counter()
+    text = serialize_bundle(bundle)
+    elapsed = time.perf_counter() - start
+    assert parse_bundle(text) == bundle
+    assert elapsed < 0.25

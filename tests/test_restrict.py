@@ -58,6 +58,16 @@ def test_invalid_morphism_warns_and_marks_unverified():
     assert not out.op(2).is_zero
 
 
+def test_unverified_warning_points_at_the_caller():
+    b = fixtures.build("functoriality-chain")
+    ctx = RestrictionContext(b.structures["I_chain"], 6, False)
+    for restrict, st in ((restrict_module, b.structures["A"]),
+                         (restrict_morphism, b.structures["f"])):
+        with pytest.warns(UnverifiedInputWarning) as caught:
+            restrict(ctx, st)
+        assert [w.filename for w in caught] == [__file__]
+
+
 def test_strict_morphism_collapse():
     # with only a linear component, k'_n(x..., m) = k_n(I1 x..., m) slotwise
     b, ctx = _ctx("heisenberg-adjoint", "inclusion")
