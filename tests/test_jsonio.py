@@ -113,9 +113,10 @@ def test_of_kind():
 def test_module_morphism_over_different_algebras_is_a_format_error():
     doc = json.loads(serialize_bundle(fixtures.build("functoriality-chain")))
     structures = doc["structures"]
-    structures["other"] = dict(structures["chain_target"])
-    structures["B"]["algebra"] = "other"  # equal content, but its own algebra
-    structures["other"]["space"] = "chain_src_space"
+    # B now lives over an algebra on another space than A's, so f: A -> B
+    # joins modules over different algebras
+    structures["other"] = dict(structures["chain_target"], space="chain_src_space")
+    structures["B"]["algebra"] = "other"
     with pytest.raises(FormatError, match="same algebra"):
         parse_bundle(json.dumps(doc))
 
