@@ -2,7 +2,7 @@
 The JSON structure-file format.
 
 A bundle document holds named graded spaces and named structures with
-cross-references by name:
+cross-references by name, and optionally a "provenance" object:
 
     {
       "spaces": {"L": {"dims": {"0": 3}}},
@@ -31,10 +31,11 @@ The four kinds are described once, in the table KINDS: for each kind name,
 its class, its part fields in the order its ``build`` takes them (each naming
 a space, an algebra or a module of the bundle) and its maps field ("ops" or
 "comps").  Parsing and serialization are one loop over that table, and a
-field it does not list is an error.  A map's arity, shift, slot spaces and
-canonical form are read off the zero map that a structure storing no map
-returns for that arity (``op(k)`` or ``comp(k)``), so this module restates
-none of them.
+field it does not list is an error, as is any field of the top level, a
+space, a map or an entry other than those shown above.  A map's arity,
+shift, slot spaces and canonical form are read off the zero map that a
+structure storing no map returns for that arity (``op(k)`` or ``comp(k)``),
+so this module restates none of them.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ KINDS: Dict[str, Tuple[type, Tuple[Tuple[str, type], ...], str]] = {
 _FIELDS = {kind: frozenset(("kind", "max_arity", maps, *(f for f, _ in parts)))
            for kind, (_, parts, maps) in KINDS.items()}
 _MAP_FIELDS = frozenset(("arity", "shift", "entries"))
+_ENTRY_FIELDS = frozenset(("in", "out"))
+_SPACE_FIELDS = frozenset(("dims",))
+_TOP_FIELDS = frozenset(("spaces", "structures", "provenance"))
 
 
 def kind_of(st: Structure, what: str = "structure") -> str:
@@ -119,6 +123,7 @@ def _integers(values) -> bool:
 def _parse_space(name: str, doc: dict) -> GradedSpace:
     if not isinstance(doc, dict) or "dims" not in doc:
         raise FormatError(f"space {name!r}: expected an object with a 'dims' field")
+    _known(doc, _SPACE_FIELDS, f"space {name!r}")
     try:
         dims = {int(d): m for d, m in doc["dims"].items()}
     except (TypeError, ValueError, AttributeError):
@@ -154,6 +159,8 @@ def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) ->
             outs = [(d, i) for d, i in ent["out"]]
         except (TypeError, ValueError, KeyError):
             raise FormatError(f"{where}: malformed entry {ent!r}") from None
+        if len(ent) > 2:  # "in" and "out" were both read, so a third field is unknown
+            _known(ent, _ENTRY_FIELDS, f"{where}: entry {ent!r}")
         if not _integers(sum(key, ()) + sum(outs, ())):
             raise FormatError(f"{where}: malformed entry {ent!r}")
         out_deg = sum(d for d, _ in key) + zero.shift
@@ -228,6 +235,7 @@ def parse_bundle(text: str) -> Bundle:
         raise FormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("top level must be an object")
+    _known(doc, _TOP_FIELDS, "top level")
 
     bundle = Bundle(provenance=doc.get("provenance"))
     for name, sdoc in _object(doc.get("spaces"), "'spaces'").items():

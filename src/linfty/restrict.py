@@ -18,6 +18,12 @@ constructions produce structures satisfying their defining relations;
 since a failure there for verified inputs can only mean an implementation
 bug.
 
+A context pulls each module back once: it remembers every restricted module,
+and ``restrict_morphism`` takes the restrictions of its source and target
+from there, so restricting f: A -> B and g: B -> C pulls back A, B and C once
+each.  Only the built output is remembered; every verifying call still
+checks its input and its output.
+
 The restricted structures share the source algebra object of I by reference,
 so later compositions can check algebra identity cheaply.
 """
@@ -25,8 +31,8 @@ so later compositions can check algebra identity cheaply.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 from .gfa import Elem, SymMultiMap, unit
 from .structures import (
@@ -64,11 +70,17 @@ class UnverifiedInputWarning(UserWarning):
 @dataclass(frozen=True)
 class RestrictionContext:
     """An algebra morphism I: L' -> L together with the truncation arity
-    shared by every structure passing through it."""
+    shared by every structure passing through it.
+
+    It also remembers each module it has restricted, keyed by value (equal
+    modules have equal restrictions), so a module is pulled back once per
+    context; equality, hash and repr ignore that memo."""
 
     morphism: LinfMorphism
     max_arity: int
     morphism_verified: bool
+    _memo: Dict[LinfModule, LinfModule] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def source(self) -> LinfAlgebra:
@@ -136,17 +148,23 @@ def restrict_module(ctx: RestrictionContext, module: LinfModule, *, verify: bool
     The module differential is unchanged (the only grouping at n = 1 is
     the module element alone); higher operations are the grouped sums.  With
     ``verify`` the input relations are checked first and the output relations
-    afterwards; an output failure for verified inputs raises.
+    afterwards; an output failure for verified inputs raises.  The pullback
+    itself runs once per module and context.
     """
-    return _restricted(
-        ctx, module, module.algebra, "module",
-        "module is not over the target algebra of the context", verify,
-        lambda N: LinfModule.build(ctx.source, module.space, N,
-                                   pullback(ctx.morphism, module.ops, N)))
+    def build(N: int) -> LinfModule:
+        out = ctx._memo.get(module)
+        if out is None:
+            out = ctx._memo[module] = LinfModule.build(
+                ctx.source, module.space, N, pullback(ctx.morphism, module.ops, N))
+        return out
+
+    return _restricted(ctx, module, module.algebra, "module",
+                       "module is not over the target algebra of the context", verify, build)
 
 
 def restrict_morphism(ctx: RestrictionContext, f: ModuleMorphism, *, verify: bool = True) -> ModuleMorphism:
-    """The pullback of a module morphism; its first component is f_1 verbatim."""
+    """The pullback of a module morphism; its first component is f_1 verbatim.
+    Its source and target are the context's restrictions of f's."""
     def build(N: int) -> ModuleMorphism:
         src = restrict_module(ctx, f.source, verify=False)
         tgt = restrict_module(ctx, f.target, verify=False)

@@ -24,11 +24,12 @@ meets inner entries A_t whose values hold k_t and lands on A_1 u .. u A_r a
 multinomial number of times (the coalgebra map e^f of Lada-Markl, below),
 odd by a rule from Legendre's formula.  So every residual and compose costs
 what their stored entries cost.  Only the pullback still walks the
-canonical keys (_grouped).  Moved onto _grouped_entries, it leaves the
-benchmark's restrict-chain workload, which bills the unspanned pullback to
-restrict, with a dominant layer other than the predicted one; it moves,
-and _grouped goes, once the benchmark spans the pullback and re-predicts
-that layer (ROADMAP item 1).
+canonical keys (_grouped), those whose module element some stored entry
+holds.  Moved onto _grouped_entries, it leaves the benchmark's
+restrict-chain workload, which bills the unspanned pullback to restrict,
+with a dominant layer other than the predicted one; it moves, and _grouped
+goes, once the benchmark spans the pullback and re-predicts that layer
+(ROADMAP item 1).
 
 Modules reduce to algebras (Lada-Markl, "Strongly homotopy Lie algebras",
 Comm. Algebra 1995): an L-module M is the algebra L x| M (l on L-inputs, k
@@ -451,10 +452,9 @@ def _identity(space: GradedSpace, low_in: Mapping[int, int],
              if (e := _embed(b, low_out)) in held},)
 
 
-def _one_module_keys(alg: GradedSpace, mod: GradedSpace, n: int) -> Iterator[Key]:
-    """Canonical arity-n keys of alg x| mod with exactly one mod element."""
-    low = alg.dims()
-    ms = [_embed(b, low) for b in mod.basis()]
+def _one_module_keys(alg: GradedSpace, ms: Sequence[Basis], n: int) -> Iterator[Key]:
+    """Canonical arity-n keys of alg x| M with exactly one M element, taken
+    from ms (in alg x| M coordinates)."""
     for xs in itertools.combinations_with_replacement(alg.basis(), n - 1):
         for x in ms:
             pos = bisect_left(xs, x)
@@ -620,6 +620,12 @@ def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap],
     the one module element part of the grouped sum of maps after I + id_M.
     It can be nonzero above len(maps), but not above
     (len(maps) - 1) * len(I.comps) + 1, where no arity is computed.
+
+    Only keys whose module element m some stored entry of maps holds are
+    walked.  The box holding m must be a key of I + id_M, and the only such
+    keys are those of id_M; _identity stores id_M only on the elements some
+    outer key holds.  Any other m has no box, so every set partition of its
+    key contributes zero.
     """
     if not maps:
         return {}
@@ -627,8 +633,10 @@ def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap],
     first = maps[0]
     mod = first.last_space
     outer = _module_family(maps, low)
-    inner = _merged(_family(morphism.comps), _identity(mod, src.dims(), low, outer))
+    ident = _identity(mod, src.dims(), low, outer)
+    inner = _merged(_family(morphism.comps), ident)
+    held = [m for (m,) in ident[0]]
     top = min(up_to, (len(maps) - 1) * len(morphism.comps) + 1)
     return {n: _module_map(n, first.shift + n - 1, src, first.codomain, mod,
-                           _grouped(outer, inner, n, _one_module_keys(src, mod, n)), low)
+                           _grouped(outer, inner, n, _one_module_keys(src, held, n)), low)
             for n in range(1, top + 1)}

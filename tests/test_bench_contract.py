@@ -45,7 +45,9 @@ def test_traced_pass_confirms_the_predicted_layer(name, tmp_path, monkeypatch):
     # run, so it fails here.  At seed 3 on a 2-vCPU VM: residual-dense is
     # the workload a kernel change moves most (structures 0.17 s against gfa
     # 0.015 s); restrict-chain has restrict's self time, which holds the
-    # unspanned pullback, at 0.11 s against structures 0.018 s; verify-valid
+    # unspanned pullback (run once per module and context, on the keys a
+    # stored entry can reach), at 0.030-0.047 s against structures
+    # 0.012-0.019 s; verify-valid
     # has a margin of about 2.2x (structures 0.017 s against cli 0.008 s);
     # mutation-sweep, since the oracle skips summands holding a zero map,
     # about 2.7x (oracle 0.038 s against jsonio 0.014 s)

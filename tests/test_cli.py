@@ -113,9 +113,14 @@ def _malformed(edit):
     lambda doc, a: doc["structures"].update(i={"kind": "morphism", "source": "a", "target": "a",
                                                "max_arity": 2, "ops": {}}),
     lambda doc, a: a["ops"]["2"].update(entires=a["ops"]["2"].pop("entries")),
+    lambda doc, a: a["ops"]["2"].update(entries=[{"in": [[0, 0], [0, 0]], "out": [],
+                                                  "outs": [[0, 0]]}]),
+    lambda doc, a: doc["spaces"]["L"].update(dimz={"0": 2}),
+    lambda doc, a: doc.update(structurez=doc.pop("structures")),
 ], ids=["max_arity-null", "spaces-list", "ops-list", "entries-int", "space-list",
         "kind-list", "reference-list", "max_arity-true", "in-float", "out-false", "dims-float",
-        "dims-string", "dims-bool", "arity-true", "shift-float", "morphism-ops", "entries-misspelled"])
+        "dims-string", "dims-bool", "arity-true", "shift-float", "morphism-ops", "entries-misspelled",
+        "entry-extra-key", "space-extra-key", "structures-misspelled"])
 def test_verify_malformed_bundle_exit_two(tmp_path, capsys, edit):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_malformed(edit)))

@@ -68,6 +68,21 @@ def test_parse_error_cases():
                                  "space": "V", "max_arity": 2, "ops": {}}}}))
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda doc: doc["structures"]["heisenberg"]["ops"]["2"]["entries"][0].update(
+        outs=[[0, 2]]), "entry"),
+    (lambda doc: doc["spaces"]["L"].update(dimz={"0": 3}), "space 'L'"),
+    (lambda doc: doc.update(structurez=doc.pop("structures")), "top level"),
+], ids=["entry", "space", "top-level"])
+def test_parse_rejects_unknown_fields(edit, where):
+    # each was ignored once: the entry read as its "out" alone, the space
+    # as its "dims", and a misspelled "structures" as an empty bundle
+    doc = json.loads(serialize_bundle(fixtures.build("heisenberg-adjoint")))
+    edit(doc)
+    with pytest.raises(FormatError, match=f"{where}.*unknown field"):
+        parse_bundle(json.dumps(doc))
+
+
 def test_parse_rejects_wrong_output_degree():
     doc = json.loads(serialize_bundle(fixtures.build("heisenberg-adjoint")))
     ent = doc["structures"]["heisenberg"]["ops"]["2"]["entries"][0]

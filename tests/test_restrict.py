@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import linfty.restrict
 from linfty import fixtures
+from linfty.cli import main
 from linfty.gfa import GradedSpace, SymMultiMap, flip_bit, unit
 from linfty.jsonio import Bundle, parse_bundle, serialize_bundle
 from linfty.restrict import (
@@ -163,10 +165,20 @@ def test_pullback_matches_set_partition_derivation():
     M = random_module(rng, L, GradedSpace({0: 2, 1: 2}), 4, up_to=4)
     M2 = random_module(rng, L, GradedSpace({1: 2, 2: 1}), 4)
     f = random_modhom(rng, M, M2, 4, up_to=4)
+    # no entry of f0 has a module input of degree 1, so the pullback skips
+    # every key holding one: no box of I + id_M holds that element
+    f0 = ModuleMorphism.build(M, M2, 4, {
+        k: SymMultiMap(k, k - 1, L.space, M2.space,
+                       [(key, bits) for key, bits in f.comp(k).entries() if key[-1][0] == 0],
+                       last_space=M.space)
+        for k in range(1, 5)})
+    assert f0 != f and f0.comps
     ctx = RestrictionContext(I, 4, False)
     restricted = restrict_morphism(ctx, f, verify=False)
+    restricted0 = restrict_morphism(ctx, f0, verify=False)
     assert len(restricted.source.ops) == len(restricted.comps) == 3  # nonzero below 4
-    for outer, got in ((M.op, restricted.source.op), (f.comp, restricted.comp)):
+    for outer, got in ((M.op, restricted.source.op), (f.comp, restricted.comp),
+                       (f0.comp, restricted0.comp)):
         for n in range(1, 5):
             for xs in itertools.combinations_with_replacement(Lp.space.basis(), n - 1):
                 for m in M.space.basis():
@@ -176,6 +188,58 @@ def test_pullback_matches_set_partition_derivation():
                                    for box in boxes)
                         bits ^= outer(len(boxes) + 1).eval(zs + (unit(m),)).bits
                     assert got(n).value(xs + (m,)) == bits
+
+
+def _counting(monkeypatch, name):
+    """Replace restrict's binding of name by a wrapper that logs each call."""
+    calls, original = [], getattr(linfty.restrict, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linfty.restrict, name, wrapper)
+    return calls
+
+
+def test_also_morphism_pulls_each_module_back_once(tmp_path, monkeypatch):
+    # f: A -> B and g: B -> C: the pullbacks of A, B, C, f and g, where
+    # restricting every module afresh would pull A and B back twice each
+    b = fixtures.build("functoriality-chain")
+    del b.structures["t"]
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_bundle(b))
+    pullbacks = _counting(monkeypatch, "pullback")
+    assert main(["restrict", "--morphism", str(path), "--module", str(path), "--module-name",
+                 "A", "--also-morphism", str(path), "-o", str(tmp_path / "out.json")]) == 0
+    assert len(pullbacks) == 5
+    assert len({id(maps) for _, maps, _ in pullbacks}) == 5
+
+
+def test_functoriality_pulls_each_module_back_once(monkeypatch):
+    # A, C and g o f; then B and g; then f
+    b, ctx = _ctx("functoriality-chain", "I_chain")
+    pullbacks = _counting(monkeypatch, "pullback")
+    assert check_functoriality(ctx, b.structures["f"], b.structures["g"]).passed
+    assert len(pullbacks) == 6
+
+
+def test_remembered_restriction_is_still_verified(monkeypatch):
+    b, ctx = _ctx("functoriality-chain", "I_chain")
+    A = b.structures["A"]
+    first = restrict_module(ctx, A)
+    pullbacks = _counting(monkeypatch, "pullback")
+    checks = _counting(monkeypatch, "first_failure")
+    again = restrict_module(ctx, fixtures.build("functoriality-chain").structures["A"])
+    assert again is first and pullbacks == []
+    assert [st for st, _ in checks] == [A, first]  # input, then output
+
+
+def test_context_equality_ignores_what_it_remembers():
+    b, ctx = _ctx("functoriality-chain", "I_chain")
+    fresh = RestrictionContext(ctx.morphism, ctx.max_arity, ctx.morphism_verified)
+    restrict_morphism(ctx, b.structures["f"])
+    assert ctx == fresh and hash(ctx) == hash(fresh) and repr(ctx) == repr(fresh)
 
 
 def _cubic_action_setup():
