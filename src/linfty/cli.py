@@ -62,12 +62,9 @@ def _read(paths: List[str]) -> List[Tuple[str, Bundle]]:
     out = []
     for p in paths:
         try:
-            text = Path(p).read_text()
-        except OSError as exc:
-            raise FormatError(f"{p}: {exc}") from None
-        try:
+            text = Path(p).read_text(encoding="utf-8")
             out.append((text, parse_bundle(text)))
-        except FormatError as exc:
+        except (OSError, UnicodeDecodeError, FormatError) as exc:
             raise FormatError(f"{p}: {exc}") from None
     return out
 

@@ -20,8 +20,8 @@ cross-references by name, and optionally a "provenance" object:
 A map is stored as {"arity": k, "shift": d, "entries": [{"in": [...], "out":
 [...]}]} where "in" is the canonical multi-index (basis elements as [degree,
 index]) and "out" lists the basis elements of the output, xor-summed.  Every
-number is a JSON integer (not a float, string or bool); object keys are
-strings holding integers.
+number is a JSON integer (not a float, string or bool); integer object keys
+are in canonical decimal ("-1", not "-01" or "+1"); no object repeats a key.
 Entries must be canonical; non-canonical input is accepted, canonicalized and
 reported as a warning.  Serialization is canonical (sorted keys, sorted
 entries, compact separators) so byte equality of serialized structures is
@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -120,14 +122,31 @@ def _integers(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
+def _int_key(key: str, what: str) -> int:
+    """An object key holding an integer in canonical decimal: int() alone also
+    reads "02", " 2", "+2" and "1_0", so two keys could name one integer."""
+    with suppress(ValueError):
+        if str(int(key)) == key:
+            return int(key)
+    raise FormatError(f"{what} {key!r} is not an integer in canonical decimal")
+
+
+def _unique(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object as a dict; json.loads alone keeps a repeated key's last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise FormatError(f"duplicate key {key!r} in one object")
+    return obj
+
+
 def _parse_space(name: str, doc: dict) -> GradedSpace:
     if not isinstance(doc, dict) or "dims" not in doc:
         raise FormatError(f"space {name!r}: expected an object with a 'dims' field")
     _known(doc, _SPACE_FIELDS, f"space {name!r}")
-    try:
-        dims = {int(d): m for d, m in doc["dims"].items()}
-    except (TypeError, ValueError, AttributeError):
-        raise FormatError(f"space {name!r}: malformed dims") from None
+    if not isinstance(doc["dims"], dict):
+        raise FormatError(f"space {name!r}: malformed dims")
+    dims = {_int_key(d, f"space {name!r}: degree key"): m for d, m in doc["dims"].items()}
     if not _integers(dims.values()):
         raise FormatError(f"space {name!r}: every dimension must be an integer")
     if any(m < 0 for m in dims.values()):
@@ -193,10 +212,7 @@ def _parse_op_table(where: str, doc: dict, max_arity: int, zero_of,
                     warnings: List[str]) -> Dict[int, SymMultiMap]:
     out: Dict[int, SymMultiMap] = {}
     for key, mdoc in _object(doc, f"{where}: operation table").items():
-        try:
-            k = int(key)
-        except ValueError:
-            raise FormatError(f"{where}: non-integer arity key {key!r}") from None
+        k = _int_key(key, f"{where}: arity key")
         if not 1 <= k <= max_arity:
             raise FormatError(f"{where}: arity {k} outside 1..{max_arity}")
         out[k] = _parse_map(f"{where}[{k}]", mdoc, zero_of(k), warnings)
@@ -228,7 +244,7 @@ def parse_bundle(text: str) -> Bundle:
     Raises FormatError on malformed input or unresolvable references.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
     except RecursionError:

@@ -23,13 +23,7 @@ l'_r(f, .., f), does too (_grouped_entries): an outer entry K = (k_1..k_r)
 meets inner entries A_t whose values hold k_t and lands on A_1 u .. u A_r a
 multinomial number of times (the coalgebra map e^f of Lada-Markl, below),
 odd by a rule from Legendre's formula.  So every residual and compose costs
-what their stored entries cost.  Only the pullback still walks the
-canonical keys (_grouped), those whose module element some stored entry
-holds.  Moved onto _grouped_entries, it leaves the benchmark's
-restrict-chain workload, which bills the unspanned pullback to restrict,
-with a dominant layer other than the predicted one; it moves, and _grouped
-goes, once the benchmark spans the pullback and re-predicts that layer
-(ROADMAP item 1).
+what their stored entries cost; the pullback alone still walks keys.
 
 Modules reduce to algebras (Lada-Markl, "Strongly homotopy Lie algebras",
 Comm. Algebra 1995): an L-module M is the algebra L x| M (l on L-inputs, k
@@ -77,26 +71,19 @@ __all__ = [
 ]
 
 
-def _check_map(m: SymMultiMap, arity: int, shift: int, sym: GradedSpace,
-               last: Optional[GradedSpace], cod: GradedSpace, what: str) -> None:
-    if (m.arity, m.shift, m.sym_space, m.last_space, m.codomain) != (arity, shift, sym, last, cod):
-        raise ValueError(
-            f"{what}: expected arity {arity}, shift {shift} on the declared spaces, got {m!r}"
-        )
-
-
-def _fill(ops: Mapping[int, SymMultiMap], max_arity: int, shift_of,
-          sym: GradedSpace, last: Optional[GradedSpace], cod: GradedSpace, what: str
+def _fill(maps: Mapping[int, SymMultiMap], max_arity: int, zero_of, what: str
           ) -> Tuple[SymMultiMap, ...]:
-    """The maps of arity 1..top, top the highest nonzero one; zero maps fill
-    the gaps below it."""
-    for k, m in ops.items():
+    """The maps of arity 1..top, top the highest nonzero one, each with the
+    signature of zero_of(k), the arity-k zero map that fills the gaps."""
+    for k, m in maps.items():
         if not 1 <= k <= max_arity:
             raise ValueError(f"{what}[{k}] outside 1..{max_arity}")
-        _check_map(m, k, shift_of(k), sym, last, cod, f"{what}[{k}]")
-    top = max((k for k, m in ops.items() if not m.is_zero), default=0)
-    return tuple(ops[k] if k in ops else zero_map(k, shift_of(k), sym, cod, last_space=last)
-                 for k in range(1, top + 1))
+        zero = zero_of(k)
+        if m.signature() != zero.signature():
+            raise ValueError(f"{what}[{k}]: expected arity {k}, shift {zero.shift} "
+                             f"on the declared spaces, got {m!r}")
+    top = max((k for k, m in maps.items() if not m.is_zero), default=0)
+    return tuple(maps[k] if k in maps else zero_of(k) for k in range(1, top + 1))
 
 
 @dataclass(frozen=True)
@@ -109,9 +96,8 @@ class LinfAlgebra:
 
     @staticmethod
     def build(space: GradedSpace, max_arity: int, ops: Mapping[int, SymMultiMap]) -> "LinfAlgebra":
-        return LinfAlgebra(space, max_arity,
-                           _fill(ops, max_arity, lambda k: k - 2,
-                                 space, None, space, "l"))
+        zero_of = LinfAlgebra(space, max_arity, ()).op
+        return LinfAlgebra(space, max_arity, _fill(ops, max_arity, zero_of, "l"))
 
     def op(self, k: int) -> SymMultiMap:
         if 1 <= k <= len(self.ops):
@@ -131,9 +117,8 @@ class LinfMorphism:
     @staticmethod
     def build(source: LinfAlgebra, target: LinfAlgebra, max_arity: int,
               comps: Mapping[int, SymMultiMap]) -> "LinfMorphism":
-        return LinfMorphism(source, target, max_arity,
-                            _fill(comps, max_arity, lambda k: k - 1,
-                                  source.space, None, target.space, "f"))
+        zero_of = LinfMorphism(source, target, max_arity, ()).comp
+        return LinfMorphism(source, target, max_arity, _fill(comps, max_arity, zero_of, "f"))
 
     def comp(self, k: int) -> SymMultiMap:
         if 1 <= k <= len(self.comps):
@@ -153,9 +138,8 @@ class LinfModule:
     @staticmethod
     def build(algebra: LinfAlgebra, space: GradedSpace, max_arity: int,
               ops: Mapping[int, SymMultiMap]) -> "LinfModule":
-        return LinfModule(algebra, space, max_arity,
-                          _fill(ops, max_arity, lambda k: k - 2,
-                                algebra.space, space, space, "k"))
+        zero_of = LinfModule(algebra, space, max_arity, ()).op
+        return LinfModule(algebra, space, max_arity, _fill(ops, max_arity, zero_of, "k"))
 
     def op(self, k: int) -> SymMultiMap:
         if 1 <= k <= len(self.ops):
@@ -177,9 +161,8 @@ class ModuleMorphism:
               comps: Mapping[int, SymMultiMap]) -> "ModuleMorphism":
         if source.algebra != target.algebra:
             raise ValueError("module morphism requires modules over the same algebra")
-        return ModuleMorphism(source, target, max_arity,
-                              _fill(comps, max_arity, lambda k: k - 1,
-                                    source.algebra.space, source.space, target.space, "h"))
+        zero_of = ModuleMorphism(source, target, max_arity, ()).comp
+        return ModuleMorphism(source, target, max_arity, _fill(comps, max_arity, zero_of, "h"))
 
     def comp(self, k: int) -> SymMultiMap:
         if 1 <= k <= len(self.comps):
@@ -311,8 +294,8 @@ def _grouped(outer: Family, inner: Family, n: int, keys: Iterable[Key]) -> List[
     Only box sizes that can still complete a live shape (outer_r and every
     inner_s nonzero) are tried; that set is fixed before any key is seen.
     Its cost follows the keys given, not the stored entries.  It serves
-    only pullback (see the module docstring for why), and the tests use it
-    as the reference for _grouped_entries.
+    only pullback, and the tests use it as the reference for
+    _grouped_entries.
     """
     shapes = [p for p in _partitions(n)
               if _at(outer, len(p)) and all(_at(inner, s) for s in p)]
@@ -626,6 +609,11 @@ def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap],
     keys are those of id_M; _identity stores id_M only on the elements some
     outer key holds.  Any other m has no box, so every set partition of its
     key contributes zero.
+
+    So its cost still follows the source's dimension.  On _grouped_entries,
+    the benchmark's restrict-chain workload, which bills this unspanned call
+    to restrict, reports another dominant layer than the predicted one; it
+    moves once the benchmark spans it and re-predicts (ROADMAP item 1).
     """
     if not maps:
         return {}

@@ -117,10 +117,20 @@ def _malformed(edit):
                                                   "outs": [[0, 0]]}]),
     lambda doc, a: doc["spaces"]["L"].update(dimz={"0": 2}),
     lambda doc, a: doc.update(structurez=doc.pop("structures")),
+    # integer keys in any but canonical decimal would alias "2" or "0"
+    lambda doc, a: a["ops"].update({"2": {"arity": 2, "shift": 0, "entries": [
+        {"in": [[0, 0], [0, 0]], "out": [[0, 0]]}]}, "02": {"arity": 2, "shift": 0, "entries": []}}),
+    lambda doc, a: a["ops"].update({" 2": a["ops"].pop("2")}),
+    lambda doc, a: a["ops"].update({"+2": a["ops"].pop("2")}),
+    lambda doc, a: doc["spaces"]["L"].update(dims={"0": 2, "00": 3}),
+    lambda doc, a: doc["spaces"]["L"].update(dims={"0": 1, "1_0": 1}),
+    lambda doc, a: doc["spaces"]["L"].update(dims={"0": 1, "-0": 1}),
 ], ids=["max_arity-null", "spaces-list", "ops-list", "entries-int", "space-list",
         "kind-list", "reference-list", "max_arity-true", "in-float", "out-false", "dims-float",
         "dims-string", "dims-bool", "arity-true", "shift-float", "morphism-ops", "entries-misspelled",
-        "entry-extra-key", "space-extra-key", "structures-misspelled"])
+        "entry-extra-key", "space-extra-key", "structures-misspelled", "arity-key-leading-zero",
+        "arity-key-space", "arity-key-plus", "dims-key-leading-zero", "dims-key-underscore",
+        "dims-key-minus-zero"])
 def test_verify_malformed_bundle_exit_two(tmp_path, capsys, edit):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_malformed(edit)))
@@ -136,6 +146,28 @@ def test_verify_deeply_nested_json_exit_two(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"spaces": {"L": {"dims": {"0": 1}}, "L": {"dims": {"0": 2}}}}',
+    '{"spaces": {"L": {"dims": {"0": 1, "0": 2}}}}',
+    '{"spaces": {}, "spaces": {"L": {"dims": {"0": 1}}}}',
+], ids=["space", "dims", "top-level"])
+def test_verify_duplicate_key_exit_two(tmp_path, capsys, text):
+    # json.loads alone would keep the last value without a word
+    path = tmp_path / "duplicate.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: duplicate key ") and "Traceback" not in err
+
+
+def test_verify_non_utf8_file_names_it(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"spaces": {"\xd0\xff": {}}}')
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "utf-8" in err and "Traceback" not in err
 
 
 def test_verify_kind_choices_are_the_table():

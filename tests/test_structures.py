@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from linfty import fixtures, structures
-from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit, zero_map
+from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit
 from linfty.structures import (
     LinfAlgebra,
     LinfModule,
@@ -50,12 +50,51 @@ def _adjoint():
 # construction validation
 # ---------------------------------------------------------------------------
 
-def test_build_checks_signatures():
-    bad = zero_map(2, 5, V2, V2)  # wrong shift for an arity-2 bracket
-    with pytest.raises(ValueError):
-        LinfAlgebra.build(V2, 4, {2: bad})
-    with pytest.raises(ValueError):
-        LinfAlgebra.build(V2, 2, {3: zero_map(3, 1, V2, V2)})  # above max_arity
+def _other(space):
+    return W2 if space == V2 else V2
+
+
+_ALG_V2 = LinfAlgebra.build(V2, 4, {})
+# kind -> (build at max_arity 4 from {arity: map}, its arity-2 signature),
+# stated here apart from the accessors that build reads it from
+_SIGNED = {
+    "algebra": (lambda maps: LinfAlgebra.build(V2, 4, maps),
+                dict(shift=0, sym_space=V2, last_space=None, codomain=V2)),
+    "morphism": (lambda maps: LinfMorphism.build(_ALG_V2, LinfAlgebra.build(W2, 4, {}), 4, maps),
+                 dict(shift=1, sym_space=V2, last_space=None, codomain=W2)),
+    "module": (lambda maps: LinfModule.build(_ALG_V2, W2, 4, maps),
+               dict(shift=0, sym_space=V2, last_space=W2, codomain=W2)),
+    "module_morphism": (lambda maps: ModuleMorphism.build(
+        LinfModule.build(_ALG_V2, W2, 4, {}), LinfModule.build(_ALG_V2, V2, 4, {}), 4, maps),
+        dict(shift=1, sym_space=V2, last_space=W2, codomain=V2)),
+}
+# signature field -> the arity-2 signature with that field wrong
+_WRONG = {
+    "shift": lambda sig: {**sig, "shift": sig["shift"] + 1},
+    "sym_space": lambda sig: {**sig, "sym_space": _other(sig["sym_space"])},
+    # a module slot on an algebra or morphism map, none on a module map
+    "module_slot": lambda sig: {**sig, "last_space": None if sig["last_space"] else V2},
+    "codomain": lambda sig: {**sig, "codomain": _other(sig["codomain"])},
+}
+
+
+@pytest.mark.parametrize("field", list(_WRONG))
+@pytest.mark.parametrize("kind", list(_SIGNED))
+def test_build_checks_signatures(kind, field):
+    build, sig = _SIGNED[kind]
+    build({2: SymMultiMap(2, **sig)})  # the right signature builds
+    with pytest.raises(ValueError, match=r"\[2\]: expected arity 2, shift "):
+        build({2: SymMultiMap(2, **_WRONG[field](sig))})
+
+
+@pytest.mark.parametrize("kind", list(_SIGNED))
+def test_build_checks_arities(kind):
+    build, sig = _SIGNED[kind]
+    with pytest.raises(ValueError, match=r"\[3\]: expected arity 3, shift "):
+        build({3: SymMultiMap(2, **sig)})  # stored under the wrong arity
+    above = {**sig, "shift": sig["shift"] + 3}
+    with pytest.raises(ValueError, match=r"\[5\] outside 1\.\.4"):
+        build({5: SymMultiMap(5, **above)})  # above max_arity
 
 
 def test_ops_above_truncation_are_zero():
