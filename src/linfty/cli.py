@@ -97,8 +97,7 @@ def cmd_verify(args) -> int:
     items = [(name, st) for name, st in sorted(bundle.structures.items())
              if args.kind in (None, kind_of(st))]
     if not items:
-        print("nothing to verify", file=sys.stderr)
-        return INPUT_ERROR
+        raise FormatError("nothing to verify")
     report = {"results": []}
     bad = False
     for name, st in items:

@@ -22,6 +22,9 @@ A map is stored as {"arity": k, "shift": d, "entries": [{"in": [...], "out":
 index]) and "out" lists the basis elements of the output, xor-summed.  Every
 number is a JSON integer (not a float, string or bool); integer object keys
 are in canonical decimal ("-1", not "-01" or "+1"); no object repeats a key.
+Every basis index in "in" and "out" is below MAX_INDEX, whatever the
+dimensions: an output is held as one bit per index below its highest, so an
+index of 10**12 would need a 125 GB integer.
 Entries must be canonical; non-canonical input is accepted, canonicalized and
 reported as a warning.  Serialization is canonical (sorted keys, sorted
 entries, compact separators) so byte equality of serialized structures is
@@ -57,6 +60,7 @@ __all__ = [
     "serialize_bundle",
     "merge_bundles",
     "digest",
+    "MAX_INDEX",
 ]
 
 Structure = object  # LinfAlgebra | LinfMorphism | LinfModule | ModuleMorphism
@@ -64,6 +68,10 @@ Structure = object  # LinfAlgebra | LinfMorphism | LinfModule | ModuleMorphism
 
 class FormatError(ValueError):
     """Malformed or unresolvable structure file."""
+
+
+# every basis index of an entry lies below this, so its bits fit in 2 MB
+MAX_INDEX = 1 << 24
 
 
 # kind name -> (class, its part fields in build order with what each names,
@@ -180,8 +188,12 @@ def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) ->
             raise FormatError(f"{where}: malformed entry {ent!r}") from None
         if len(ent) > 2:  # "in" and "out" were both read, so a third field is unknown
             _known(ent, _ENTRY_FIELDS, f"{where}: entry {ent!r}")
-        if not _integers(sum(key, ()) + sum(outs, ())):
+        flat = sum(key, ()) + sum(outs, ())
+        if not _integers(flat):
             raise FormatError(f"{where}: malformed entry {ent!r}")
+        if max(flat[1::2], default=0) >= MAX_INDEX:
+            raise FormatError(f"{where}: entry {ent!r} has a basis index at or above "
+                              f"the limit {MAX_INDEX} (2**24)")
         out_deg = sum(d for d, _ in key) + zero.shift
         bits = 0
         for d, i in outs:

@@ -31,11 +31,13 @@ on inputs with one M element, zero otherwise) and a module morphism h the
 algebra morphism id_L + h.  The module relations, compose and the pullback along I (through
 I + id_M) are the one-M-input parts of those sums, with no filter: each
 outer key holds one M element, which an M-valued inner output alone can
-fill, M's basis sitting past L's.  id_L is strict, so a partition through
-id_L + h is an s-subset boxed by h_s: the module morphism relation and
-compose are insertion sums.  Embedding convention, private to this module:
-in each degree the basis of L x| M is that of L followed by that of M; keys
-and outputs are mapped back to module-slot-last form.
+fill.  id_L is strict, so a partition through id_L + h is an s-subset boxed
+by h_s: the module morphism relation and compose are insertion sums.
+Embedding convention, private to this module: M's element (d, i) is keyed
+(d, ~i), an index no L element uses, and each table value carries a tag, 0
+for L-valued and -1 for M-valued maps, its set bit t standing for
+(d, t ^ tag); so no key or output depends on L's dimension.  Keys are mapped
+back to module-slot-last form.
 
 A structure stores its maps only up to its highest nonzero arity; max_arity
 is the truncation number alone.  Every loop over arities runs to the stored
@@ -175,8 +177,9 @@ class ModuleMorphism:
 # the two kernels, on tables of maps over one space
 # ---------------------------------------------------------------------------
 
-# family[k-1] holds the arity-k map: sorted basis tuple -> (out degree, bits)
-Table = Dict[Key, Tuple[int, int]]
+# family[k-1] holds the arity-k map: sorted basis tuple -> (out degree, bits,
+# tag), bit t of bits standing for the basis element (out degree, t ^ tag)
+Table = Dict[Key, Tuple[int, int, int]]
 Family = Tuple[Table, ...]
 _EMPTY: Table = {}
 
@@ -201,9 +204,9 @@ def _splits(n: int, i: int) -> Tuple[tuple, ...]:
                  for s in itertools.combinations(range(n), i))
 
 
-def _values_eval(table: Table, values: Tuple[Tuple[int, int], ...]) -> int:
+def _values_eval(table: Table, values: Tuple[Tuple[int, int, int], ...]) -> int:
     """outer(*values), expanding every value over its set bits only."""
-    pools = [[(d, i) for i in set_bits(bits)] for d, bits in values]
+    pools = [[(d, i ^ tag) for i in set_bits(bits)] for d, bits, tag in values]
     acc = 0
     for combo in itertools.product(*pools):
         got = table.get(tuple(sorted(combo)))
@@ -243,15 +246,15 @@ def _insertion(outer: Family, inner: Family, n: int) -> List[Tuple[Key, int]]:
     as (key, bits) for the canonical keys where it is nonzero.
 
     Each entry K of outer_j is indexed once under each element e it holds,
-    as B = K minus one e.  An entry A -> (d, bits) of inner_i meets every B
-    under e = (d, t), t a set bit of bits, and adds the output of K to A u B
-    once per split of A u B that takes A: prod_b C(m_A(b) + m_B(b), m_A(b))
-    times, which by Kummer's theorem is odd exactly when code(A) & code(B)
-    == 0 (see _multisets).  Disjoint A and B always count.
+    as B = K minus one e.  An entry A -> (d, bits, tag) of inner_i meets
+    every B under e = (d, t ^ tag), t a set bit of bits, and adds the output
+    of K to A u B once per split of A u B that takes A: prod_b C(m_A(b) +
+    m_B(b), m_A(b)) times, which by Kummer's theorem is odd exactly when
+    code(A) & code(B) == 0 (see _multisets).  Disjoint A and B always count.
 
     With module maps alone as outer (k, h, k' or g), every A u B holds one
-    M element: each outer key holds one, and an M-valued inner output (bits
-    past low) can fill only that M slot (see the module docstring).
+    M element: each outer key holds one, and an M-valued inner output (tag
+    -1) can fill only that M slot (see the module docstring).
     """
     live = [(_at(inner, i), _at(outer, n + 1 - i))
             for i in range(1, n + 1) if _at(inner, i) and _at(outer, n + 1 - i)]
@@ -262,14 +265,14 @@ def _insertion(outer: Family, inner: Family, n: int) -> List[Tuple[Key, int]]:
     acc: Dict[int, int] = {}
     for tin, tout in live:
         under: Dict[Basis, List[Tuple[int, int]]] = {}
-        for key, (_, bits) in tout.items():
+        for key, (_, bits, _) in tout.items():
             for p, e in enumerate(key):
                 if not p or key[p - 1] != e:
                     under.setdefault(e, []).append((code(key[:p] + key[p + 1:]), bits))
-        for key, (d, bits) in tin.items():
+        for key, (d, bits, tag) in tin.items():
             a = code(key)
             for t in set_bits(bits):
-                for b, ob in under.get((d, t), ()):
+                for b, ob in under.get((d, t ^ tag), ()):
                     if not a & b:
                         acc[a | b] = acc.get(a | b, 0) ^ ob
     return [(decode(c), bits) for c, bits in acc.items() if bits]
@@ -326,17 +329,17 @@ def _grouped_entries(outer: Family, inner: Family, n: int) -> List[Tuple[Key, in
     """The grouped sum of _grouped over every canonical key, driven by stored
     entries: (key, bits) for the keys where it is nonzero.
 
-    Each entry A -> (d, bits) of inner_s is indexed under (d, t) for each
-    set bit t of bits.  An entry K = (k_1..k_r) of outer_r gives each slot t
-    an entry A_t indexed under k_t, with sum |A_t| = n, and adds the output
-    of K to R = A_1 u .. u A_r once per set partition of R into boxes A_t
-    read at bit k_t: prod_b m_R(b)! / (prod_t prod_b m_{A_t}(b)! prod_p c_p!)
-    times, c_p the number of slots holding the pair p = (A_t, k_t).  Slots
-    under equal k's take nondecreasing candidate indices, so each multiset
-    of pairs comes once, with equal pairs adjacent.  R's fields hold at most
-    n, so code(R) = sum_t code(A_t) (see _multisets), and by Legendre
-    (v_2(m!) = m - s_2(m), s_2 the binary digit sum) the count is odd
-    exactly when that sum has as many carries, sum_t s_2(code A_t) -
+    Each entry A -> (d, bits, tag) of inner_s is indexed under (d, t ^ tag)
+    for each set bit t of bits.  An entry K = (k_1..k_r) of outer_r gives
+    each slot t an entry A_t indexed under k_t, with sum |A_t| = n, and adds
+    the output of K to R = A_1 u .. u A_r once per set partition of R into
+    boxes A_t read at bit k_t: prod_b m_R(b)! / (prod_t prod_b m_{A_t}(b)!
+    prod_p c_p!) times, c_p the number of slots holding the pair p = (A_t,
+    k_t).  Slots under equal k's take nondecreasing candidate indices, so
+    each multiset of pairs comes once, with equal pairs adjacent.  R's fields
+    hold at most n, so code(R) = sum_t code(A_t) (see _multisets), and by
+    Legendre (v_2(m!) = m - s_2(m), s_2 the binary digit sum) the count is
+    odd exactly when that sum has as many carries, sum_t s_2(code A_t) -
     s_2(code R), as sum_p v_2(c_p!).  Carries only grow along a branch, and
     the multinomial (sum c_p)! / prod c_p! is whole, so a branch stops once
     they exceed the sum of v_2(e!) over K's runs of e equal k's.
@@ -348,10 +351,10 @@ def _grouped_entries(outer: Family, inner: Family, n: int) -> List[Tuple[Key, in
     code, decode = _multisets((b for _, table in ins for key in table for b in key), n)
     under: Dict[Basis, List[Tuple[int, int, int]]] = {}
     for s, table in ins:  # by size, so each list is sorted by size
-        for key, (d, bits) in table.items():
+        for key, (d, bits, tag) in table.items():
             a = code(key)
             for t in set_bits(bits):
-                under.setdefault((d, t), []).append((s, a, a.bit_count()))
+                under.setdefault((d, t ^ tag), []).append((s, a, a.bit_count()))
     acc: Dict[int, int] = {}
 
     def walk(t: int, lo: int, rem: int, a: int, pa: int, carry: int, corr: int, run: int) -> None:
@@ -375,7 +378,7 @@ def _grouped_entries(outer: Family, inner: Family, n: int) -> List[Tuple[Key, in
                 acc[R] = acc.get(R, 0) ^ out
 
     for r, table in outs:
-        for K, (_, out) in table.items():
+        for K, (_, out, _) in table.items():
             pools = [under.get(k) for k in K]
             if all(pools):
                 same = [0 < t and K[t] == K[t - 1] for t in range(r)]
@@ -392,27 +395,22 @@ def _grouped_entries(outer: Family, inner: Family, n: int) -> List[Tuple[Key, in
 # ---------------------------------------------------------------------------
 
 def _family(maps: Sequence[SymMultiMap]) -> Family:
-    """Tables of maps without a module slot."""
-    return tuple({key: (sum(b[0] for b in key) + m.shift, bits) for key, bits in m.entries()}
+    """Tables of maps without a module slot, L-valued (tag 0)."""
+    return tuple({key: (sum(b[0] for b in key) + m.shift, bits, 0) for key, bits in m.entries()}
                  for m in maps)
 
 
-def _embed(b: Basis, low: Mapping[int, int]) -> Basis:
-    """A module basis element in L x| M coordinates, low = dims of L."""
-    return (b[0], low.get(b[0], 0) + b[1])
-
-
-def _module_family(maps: Sequence[SymMultiMap], low: Mapping[int, int]) -> Family:
-    """Tables of module-slot-last maps over L in L x| M coordinates, low =
-    dims of L: the module input and the output bits sit past low."""
+def _module_family(maps: Sequence[SymMultiMap]) -> Family:
+    """Tables of module-slot-last maps over L in L x| M keys: the module
+    input (d, i) is keyed (d, ~i) among the others, and the outputs are
+    M-valued (tag -1)."""
     family = []
     for m in maps:
         table = {}
         for key, bits in m.entries():
-            d = sum(b[0] for b in key) + m.shift
-            xs, x = key[:-1], _embed(key[-1], low)
+            xs, x = key[:-1], (key[-1][0], ~key[-1][1])
             pos = bisect_left(xs, x)
-            table[xs[:pos] + (x,) + xs[pos:]] = (d, bits << low.get(d, 0))
+            table[xs[:pos] + (x,) + xs[pos:]] = (sum(b[0] for b in key) + m.shift, bits, -1)
         family.append(table)
     return tuple(family)
 
@@ -424,39 +422,32 @@ def _merged(*families: Family) -> Family:
                  for k in range(1, top + 1))
 
 
-def _identity(space: GradedSpace, low_in: Mapping[int, int],
-              low_out: Mapping[int, int], outer: Family) -> Family:
-    """The identity of one summand of semidirect spaces, at arity 1: its
-    basis sits past low_in in the source and past low_out in the target.
-    Only the elements some key of outer holds are stored: no other one can
-    reach a nonzero outer summand."""
-    held = {b for table in outer for key in table for b in key}
-    return ({(_embed(b, low_in),): (b[0], 1 << e[1]) for b in space.basis()
-             if (e := _embed(b, low_out)) in held},)
+def _identity(outer: Family) -> Family:
+    """id_M at arity 1, stored only on the M elements some key of outer
+    holds: no other one can reach a nonzero outer summand."""
+    held = {b for table in outer for key in table for b in key if b[1] < 0}
+    return ({(b,): (b[0], 1 << ~b[1], -1) for b in sorted(held)},)
 
 
-def _one_module_keys(alg: GradedSpace, ms: Sequence[Basis], n: int) -> Iterator[Key]:
-    """Canonical arity-n keys of alg x| M with exactly one M element, taken
-    from ms (in alg x| M coordinates)."""
-    for xs in itertools.combinations_with_replacement(alg.basis(), n - 1):
+def _one_module_keys(alg: Sequence[Basis], ms: Sequence[Basis], n: int) -> Iterator[Key]:
+    """Canonical arity-n keys of L x| M with n - 1 elements of L taken from
+    the sorted alg and one M element taken from ms (in L x| M keys)."""
+    for xs in itertools.combinations_with_replacement(alg, n - 1):
         for x in ms:
             pos = bisect_left(xs, x)
             yield xs[:pos] + (x,) + xs[pos:]
 
 
 def _module_map(n: int, shift: int, alg: GradedSpace, cod: GradedSpace, mod: GradedSpace,
-                entries: Iterable[Tuple[Key, int]], low_out: Mapping[int, int]) -> SymMultiMap:
+                entries: Iterable[Tuple[Key, int]]) -> SymMultiMap:
     """The module-slot-last map of one-M semidirect entries: keys over
-    alg x| mod, output bits past low_out."""
-    low_in = alg.dims()
+    alg x| mod, output bits as stored."""
 
-    def back(key: Key, bits: int) -> Tuple[Key, int]:
-        pos = next(p for p, (d, i) in enumerate(key) if i >= low_in.get(d, 0))
-        d, i = key[pos]
-        out = sum(b[0] for b in key) + shift
-        return key[:pos] + key[pos + 1:] + ((d, i - low_in.get(d, 0)),), bits >> low_out.get(out, 0)
+    def back(key: Key) -> Key:
+        pos = next(p for p, (_, i) in enumerate(key) if i < 0)
+        return key[:pos] + key[pos + 1:] + ((key[pos][0], ~key[pos][1]),)
 
-    return SymMultiMap(n, shift, alg, cod, [back(k, b) for k, b in entries], last_space=mod)
+    return SymMultiMap(n, shift, alg, cod, [(back(k), b) for k, b in entries], last_space=mod)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +484,9 @@ def module_residual(module: LinfModule, n: int) -> SymMultiMap:
     with exactly one module element, as one map (module slot last)."""
     _check_arity(n)
     alg, mod = module.algebra.space, module.space
-    k = _module_family(module.ops, alg.dims())
+    k = _module_family(module.ops)
     entries = _insertion(k, _merged(_family(module.algebra.ops), k), n)
-    return _module_map(n, n - 3, alg, mod, mod, entries, alg.dims())
+    return _module_map(n, n - 3, alg, mod, mod, entries)
 
 
 def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
@@ -504,12 +495,11 @@ def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
     relation of id_L + h on one module input, id_L being strict."""
     _check_arity(n)
     alg, mod = h.source.algebra.space, h.source.space
-    low = alg.dims()
-    hf = _module_family(h.comps, low)
-    lk = _merged(_family(h.source.algebra.ops), _module_family(h.source.ops, low))
-    k = _module_family(h.target.ops, low)
+    hf = _module_family(h.comps)
+    lk = _merged(_family(h.source.algebra.ops), _module_family(h.source.ops))
+    k = _module_family(h.target.ops)
     entries = _insertion(hf, lk, n) + _insertion(k, hf, n)
-    return _module_map(n, n - 2, alg, h.target.space, mod, entries, low)
+    return _module_map(n, n - 2, alg, h.target.space, mod, entries)
 
 
 def residual(structure, n: int) -> SymMultiMap:
@@ -585,9 +575,9 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     if alg != g.source.algebra:
         raise ValueError("compose requires morphisms over the same algebra")
     N = min(f.max_arity, g.max_arity)
-    space, mod, low = alg.space, f.source.space, alg.space.dims()
-    G, F = _module_family(g.comps, low), _module_family(f.comps, low)
-    comps = {n: _module_map(n, n - 1, space, g.target.space, mod, _insertion(G, F, n), low)
+    space, mod = alg.space, f.source.space
+    G, F = _module_family(g.comps), _module_family(f.comps)
+    comps = {n: _module_map(n, n - 1, space, g.target.space, mod, _insertion(G, F, n))
              for n in range(1, min(N, len(f.comps) + len(g.comps) - 1) + 1)}
     return ModuleMorphism.build(f.source, g.target, N, comps)
 
@@ -604,27 +594,25 @@ def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap],
     It can be nonzero above len(maps), but not above
     (len(maps) - 1) * len(I.comps) + 1, where no arity is computed.
 
-    Only keys whose module element m some stored entry of maps holds are
-    walked.  The box holding m must be a key of I + id_M, and the only such
-    keys are those of id_M; _identity stores id_M only on the elements some
-    outer key holds.  Any other m has no box, so every set partition of its
-    key contributes zero.
-
-    So its cost still follows the source's dimension.  On _grouped_entries,
-    the benchmark's restrict-chain workload, which bills this unspanned call
-    to restrict, reports another dominant layer than the predicted one; it
-    moves once the benchmark spans it and re-predicts (ROADMAP item 1).
+    Only keys of elements some stored key holds are walked: m of maps, the
+    others of I.  A box holding m must be a key of id_M, which _identity
+    stores only on the elements outer's keys hold, and one holding a source
+    element x a key of I: any other m or x has no box, so every set
+    partition of its key contributes zero.  So its cost follows those keys,
+    not the stored entries.  On _grouped_entries, the benchmark's
+    restrict-chain workload, which bills this unspanned call to restrict,
+    reports another dominant layer than the predicted one; it moves once
+    the benchmark spans it and re-predicts (ROADMAP item 1).
     """
     if not maps:
         return {}
-    src, low = morphism.source.space, morphism.target.space.dims()
-    first = maps[0]
-    mod = first.last_space
-    outer = _module_family(maps, low)
-    ident = _identity(mod, src.dims(), low, outer)
-    inner = _merged(_family(morphism.comps), ident)
+    src, first, f = morphism.source.space, maps[0], _family(morphism.comps)
+    outer = _module_family(maps)
+    ident = _identity(outer)
+    inner = _merged(f, ident)
+    xs = sorted({x for table in f for key in table for x in key})
     held = [m for (m,) in ident[0]]
     top = min(up_to, (len(maps) - 1) * len(morphism.comps) + 1)
-    return {n: _module_map(n, first.shift + n - 1, src, first.codomain, mod,
-                           _grouped(outer, inner, n, _one_module_keys(src, held, n)), low)
+    return {n: _module_map(n, first.shift + n - 1, src, first.codomain, first.last_space,
+                           _grouped(outer, inner, n, _one_module_keys(xs, held, n)))
             for n in range(1, top + 1)}

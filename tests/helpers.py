@@ -1,8 +1,11 @@
 """Shared helpers: randomized structures whose relations need not hold, used
-to pin the residual sums against hand-expanded formulas."""
+to pin the residual sums against hand-expanded formulas, and mutants of a
+kernel made by editing its source, which those comparisons must catch."""
 
+import inspect
 import itertools
 import random
+import textwrap
 
 from linfty.gfa import SymMultiMap
 from linfty.structures import LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism
@@ -59,3 +62,15 @@ def set_partitions(n):
         if all(labels[k] <= max(labels[:k], default=-1) + 1 for k in range(n)):
             yield tuple(tuple(p for p in range(n) if labels[p] == box)
                         for box in range(max(labels, default=-1) + 1))
+
+
+def patch_mutant(monkeypatch, module, name, *edits):
+    """Replace module.name with a copy of its source in which each (old,
+    new) edit is made; every old text occurs exactly once."""
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    for old, new in edits:
+        assert src.count(old) == 1, old
+        src = src.replace(old, new)
+    namespace = dict(vars(module))
+    exec(compile(src, module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])

@@ -42,15 +42,17 @@ def test_one_pass_passes_every_check(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_traced_pass_confirms_the_predicted_layer(name, tmp_path, monkeypatch):
     # a change that moves time between layers fails the benchmark's traced
-    # run, so it fails here.  At seed 3 on a 2-vCPU VM: residual-dense is
-    # the workload a kernel change moves most (structures 0.17 s against gfa
-    # 0.015 s); restrict-chain has restrict's self time, which holds the
-    # unspanned pullback (run once per module and context, on the keys a
-    # stored entry can reach), at 0.030-0.047 s against structures
-    # 0.012-0.019 s; verify-valid
-    # has a margin of about 2.2x (structures 0.017 s against cli 0.008 s);
-    # mutation-sweep, since the oracle skips summands holding a zero map,
-    # about 2.7x (oracle 0.038 s against jsonio 0.014 s)
+    # run, so it fails here.  Layer self times from bench/run.py --trace 1
+    # at seeds 0-15 on a 2-vCPU VM: residual-dense is the workload a kernel
+    # change moves most (structures 0.056-0.12 s against gfa 0.010-0.015 s);
+    # restrict-chain has restrict's self time, which holds the unspanned
+    # pullback (run once per module and context, on the keys a stored entry
+    # can reach), at 0.025-0.057 s against structures 0.012-0.021 s;
+    # verify-valid has a margin of 1.5-2.1x (structures 0.013-0.020 s
+    # against jsonio 0.007-0.010 s, cli just behind it); mutation-sweep,
+    # since the oracle skips summands holding a zero map, only 1.2-1.7x
+    # (oracle 0.024-0.035 s against jsonio 0.018-0.024 s), so a slower
+    # parser can move it
     monkeypatch.setattr(run, "ROOT", tmp_path)
     monkeypatch.setattr(run, "OUT_DIR", tmp_path)
     _, failures, _, details = run.traced(workloads.WORKLOADS[name](3), tmp_path)

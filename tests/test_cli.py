@@ -125,18 +125,33 @@ def _malformed(edit):
     lambda doc, a: doc["spaces"]["L"].update(dims={"0": 2, "00": 3}),
     lambda doc, a: doc["spaces"]["L"].update(dims={"0": 1, "1_0": 1}),
     lambda doc, a: doc["spaces"]["L"].update(dims={"0": 1, "-0": 1}),
+    # a basis index at 10**12 in spaces that hold it: its one-hot bits would
+    # take 125 GB, as an output or, in restrict, as id_M on the module slot
+    lambda doc, a: (doc["spaces"]["L"].update(dims={"0": 10**13}), a["ops"]["2"].update(
+        entries=[{"in": [[0, 0], [0, 0]], "out": [[0, 10**12]]}])),
+    lambda doc, a: (doc["spaces"]["L"].update(dims={"0": 10**13}), doc["structures"]["m"].update(
+        ops={"2": {"arity": 2, "shift": 0,
+                   "entries": [{"in": [[0, 0], [0, 10**12]], "out": [[0, 0]]}]}})),
 ], ids=["max_arity-null", "spaces-list", "ops-list", "entries-int", "space-list",
         "kind-list", "reference-list", "max_arity-true", "in-float", "out-false", "dims-float",
         "dims-string", "dims-bool", "arity-true", "shift-float", "morphism-ops", "entries-misspelled",
         "entry-extra-key", "space-extra-key", "structures-misspelled", "arity-key-leading-zero",
         "arity-key-space", "arity-key-plus", "dims-key-leading-zero", "dims-key-underscore",
-        "dims-key-minus-zero"])
+        "dims-key-minus-zero", "out-index-1e12", "module-slot-index-1e12"])
 def test_verify_malformed_bundle_exit_two(tmp_path, capsys, edit):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_malformed(edit)))
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [[], ["--kind", "module"]], ids=["empty", "kind-filter"])
+def test_verify_nothing_exit_two(tmp_path, capsys, argv):
+    path = tmp_path / "spaces-only.json"
+    path.write_text('{"spaces": {"L": {"dims": {"0": 1}}}}')
+    assert main(["verify", str(path), *argv]) == 2
+    assert capsys.readouterr().err == "error: nothing to verify\n"
 
 
 def test_verify_deeply_nested_json_exit_two(tmp_path, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from linfty import fixtures
 from linfty.gfa import GradedSpace, SymMultiMap
-from linfty.jsonio import Bundle, FormatError, digest, merge_bundles, parse_bundle, serialize_bundle
+from linfty.jsonio import (MAX_INDEX, Bundle, FormatError, digest, merge_bundles, parse_bundle,
+                           serialize_bundle)
 from linfty.structures import LinfAlgebra, LinfModule, LinfMorphism
 
 
@@ -88,6 +89,21 @@ def test_parse_rejects_wrong_output_degree():
     ent = doc["structures"]["heisenberg"]["ops"]["2"]["entries"][0]
     ent["out"] = [[1, 0]]  # arity-2 bracket of degree-0 inputs must land in degree 0
     with pytest.raises(FormatError):
+        parse_bundle(json.dumps(doc))
+
+
+@pytest.mark.parametrize("slot", ["in", "out"])
+def test_parse_limits_basis_indices(slot):
+    # in a space of dimension 10**30 an index just below MAX_INDEX is read
+    # and one at it is refused, in the key as in the output
+    doc = json.loads(serialize_bundle(fixtures.build("heisenberg-adjoint")))
+    doc["spaces"]["L"]["dims"]["0"] = 10**30
+    ent = doc["structures"]["heisenberg"]["ops"]["2"]["entries"][0]
+    ent[slot][-1][1] = MAX_INDEX - 1
+    bundle = parse_bundle(json.dumps(doc))
+    assert parse_bundle(serialize_bundle(bundle)) == bundle
+    ent[slot][-1][1] = MAX_INDEX
+    with pytest.raises(FormatError, match=f"at or above the limit {MAX_INDEX}"):
         parse_bundle(json.dumps(doc))
 
 

@@ -3,13 +3,13 @@ from collections import Counter
 
 import pytest
 
-from linfty import fixtures, oracle
+from linfty import fixtures, oracle, structures
 from linfty.gfa import GradedSpace, flip_bit
 from linfty.oracle import LabeledOperator, lemma4_equal, lemma4_lhs, lemma4_rhs, naive_residual
 from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
                                complete_bound, residual)
-from helpers import (KIND_OF, random_algebra, random_map, random_modhom, random_module,
-                     random_morphism)
+from helpers import (KIND_OF, patch_mutant, random_algebra, random_map, random_modhom,
+                     random_module, random_morphism)
 
 
 def test_labeled_operator_validation():
@@ -117,6 +117,28 @@ def test_naive_residual_catches_a_dropped_slot_rotation(monkeypatch):
     assert len(modules) == 4
     for st in modules:
         assert not all(_agrees(st, n) for n in range(1, 6))
+
+
+@pytest.mark.parametrize("old,new", [
+    ("(key[-1][0], ~key[-1][1])", "key[-1]"),
+    ("bits, -1)", "bits, 0)"),
+], ids=["module-input-untagged", "module-outputs-tagged-as-L"])
+def test_naive_residual_catches_an_untagged_embedding(monkeypatch, old, new):
+    # in L x| M a module element (d, i) is keyed (d, ~i) and an M-valued
+    # output is tagged -1, so it meets only that key.  Keyed as (d, i), the
+    # module input collides with L's element (d, i) and M-valued outputs
+    # find no key; tagged 0, an M-valued output fills L slots.  Each mutant
+    # of _module_family returns a wrong residual on the seeded structures
+    # without raising, besides raising on others
+    patch_mutant(monkeypatch, structures, "_module_family", (old, new))
+    outcomes = Counter()
+    for st in _seeded_structures():
+        for n in range(1, 6):
+            try:
+                outcomes[naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)] += 1
+            except (StopIteration, ValueError):  # a key with no or two M elements
+                outcomes["raised"] += 1
+    assert outcomes[False] and outcomes[True]
 
 
 def _gapped_map(rng, arity, shift, sym, cod, last=None):

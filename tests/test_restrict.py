@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import time
+import warnings
 
 import pytest
 
@@ -420,3 +422,59 @@ def test_restriction_error_names_the_bug():
     lying_ctx = RestrictionContext(bad, 6, True)
     with pytest.raises(RestrictionError, match="implementation bug"):
         restrict_module(lying_ctx, _natural_representation(heis))
+
+
+def _acting_on(L: GradedSpace, M: GradedSpace, top: int):
+    """A valid module over the abelian algebra on L: x_0 and x_top, both in
+    degree 0, send m_0 to m_1 (degree 0 of M); a module morphism that is the
+    identity on m_0 and m_1; and I: L' -> L with I_1(x'_0) = x_0."""
+    alg = LinfAlgebra.build(L, 4, {})
+    mod = LinfModule.build(alg, M, 4, {2: SymMultiMap(
+        2, 0, L, M, [(((0, 0), (0, 0)), 0b10), (((0, top), (0, 0)), 0b10)], last_space=M)})
+    h = ModuleMorphism.build(mod, mod, 4, {
+        1: SymMultiMap(1, 0, L, M, [(((0, 0),), 0b01), (((0, 1),), 0b10)], last_space=M)})
+    Lp = GradedSpace({0: 1})
+    I = LinfMorphism.build(LinfAlgebra.build(Lp, 4, {}), alg, 4, {
+        1: SymMultiMap(1, 0, Lp, L, [(((0, 0),), 1)])})
+    return mod, h, I
+
+
+def test_module_cost_follows_entries_not_dimensions():
+    # the module's outputs land in degree 0, where L has dimension D; then
+    # M's dimension is 10**12.  Each operation visits the stored entries
+    # only: a module output offset past L's basis in L x| M would hold D
+    # bits, and a walk over M's basis 10**12 steps
+    start = time.perf_counter()
+    for D, m in [(10, 2), (10**6, 2), (10**12, 2), (10, 10**12)]:
+        mod, h, I = _acting_on(GradedSpace({0: D}), GradedSpace({0: m}), D - 1)
+        assert all(module_residual(mod, n).is_zero for n in range(1, 5))
+        assert all(modhom_residual(h, n).is_zero for n in range(1, 5))
+        assert compose(h, h) == h
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restricted = restrict_module(context(I), mod)
+        assert restricted.op(2).entries() == ((((0, 0), (0, 0)), 0b10),)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("command", ["verify", "restrict"])
+@pytest.mark.parametrize("space,dims", [
+    ("i2_tgt_space", {"1": 10**6}), ("i2_tgt_space", {"1": 10**12}),
+    ("i2_tgt_space", {"1": 10**30}),
+    ("i2_mod_space", {"0": 10**12, "1": 10**12, "2": 10**12}),
+], ids=["L-1e6", "L-1e12", "L-1e30", "M-1e12"])
+def test_abelian_i2_on_huge_dimensions_exits_zero(tmp_path, capsys, command, space, dims):
+    # L's degree 1, where the module has outputs, or every degree of the
+    # module, far larger than any stored index: no integer may grow with a
+    # dimension and no walk may cover a basis
+    doc = json.loads(serialize_bundle(fixtures.build("abelian-i2")))
+    doc["spaces"][space]["dims"].update(dims)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    argv = {"verify": ["verify", str(path)],
+            "restrict": ["restrict", "--morphism", str(path), "--module", str(path),
+                         "-o", str(tmp_path / "out.json")]}[command]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ""

@@ -1,7 +1,5 @@
-import inspect
 import itertools
 import random
-import textwrap
 import time
 import tracemalloc
 from collections import Counter
@@ -32,7 +30,8 @@ from linfty.structures import (
     _values_eval,
 )
 from linfty.oracle import naive_residual
-from helpers import random_algebra, random_modhom, random_module, random_morphism, set_partitions
+from helpers import (patch_mutant, random_algebra, random_modhom, random_module, random_morphism,
+                     set_partitions)
 
 V2 = GradedSpace({0: 2, 1: 2})
 W2 = GradedSpace({0: 2, -1: 1})
@@ -386,14 +385,19 @@ def test_modhom_and_compose_cost_follows_stored_entries():
 
 def test_values_eval_cost_follows_set_bits():
     # a value whose highest set bit is 250000: expanding it index by index
-    # up to that bit takes over a second
+    # up to that bit takes over a second.  Values are L-valued (tag 0) and
+    # M-valued (tag -1, bit t standing for the element (0, ~t))
     B = 250000
-    table = {((0, 2), (0, 5)): (0, 1), ((0, 5), (0, B)): (0, 2), ((0, B), (0, B)): (0, 4)}
-    start = time.perf_counter()
-    got = _values_eval(table, ((0, 1 << B | 1 << 2), (0, 1 << 5)))
-    elapsed = time.perf_counter() - start
-    assert got == 1 ^ 2
-    assert elapsed < 0.25
+    for tag in (0, -1):
+        def key(i, j):
+            return tuple(sorted(((0, i ^ tag), (0, j ^ tag))))
+
+        table = {key(2, 5): (0, 1, 0), key(5, B): (0, 2, 0), key(B, B): (0, 4, 0)}
+        start = time.perf_counter()
+        got = _values_eval(table, ((0, 1 << B | 1 << 2, tag), (0, 1 << 5, tag)))
+        elapsed = time.perf_counter() - start
+        assert got == 1 ^ 2
+        assert elapsed < 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +507,18 @@ def test_residuals_reject_arity_below_one(n):
 def test_insertion_parity_matches_split_counting():
     # with inner_i = {A: e} and outer_j = {B + e: 1} the insertion sum at
     # A u B is the number of splits of A u B whose taken part is A, mod 2;
-    # A and B that share elements are counted too (x into (x, x): 3 splits)
+    # A and B that share elements are counted too (x into (x, x): 3 splits).
+    # e is an L element (tag 0) or an M element (tag -1, keyed (5, ~0))
     xs = ((0, 0), (0, 1), (1, 0))
-    e = (5, 0)  # stored as its degree and bits, (5, 1)
-    for n in range(1, 7):
+    for tag, n in itertools.product((0, -1), range(1, 7)):
+        e = (5, 0 ^ tag)  # stored as its degree, bits and tag, (5, 1, tag)
         for i in range(1, n + 1):
             for A in itertools.combinations_with_replacement(xs, i):
                 for B in itertools.combinations_with_replacement(xs, n - i):
                     R = tuple(sorted(A + B))
                     count = sum(take(R) == A for take, _ in _splits(n, i))
-                    inner = tuple({A: (5, 1)} if k == i else {} for k in range(1, n + 1))
-                    outer = tuple({tuple(sorted(B + (e,))): (0, 1)} if k == n + 1 - i else {}
+                    inner = tuple({A: (5, 1, tag)} if k == i else {} for k in range(1, n + 1))
+                    outer = tuple({tuple(sorted(B + (e,))): (0, 1, 0)} if k == n + 1 - i else {}
                                   for k in range(1, n + 1))
                     assert dict(_insertion(outer, inner, n)) == ({R: 1} if count % 2 else {})
 
@@ -540,10 +545,10 @@ def test_grouped_parity_matches_set_partition_counting():
                 for values in itertools.product((1, 3), repeat=len(sizes)):
                     reads = {A: [e for i, e in enumerate(es) if v >> i & 1]
                              for A, v in zip(As, values)}
-                    inner = tuple({A: (5, v) for A, v in zip(As, values) if len(A) == k}
+                    inner = tuple({A: (5, v, 0) for A, v in zip(As, values) if len(A) == k}
                                   for k in range(1, n + 1))
                     for K in itertools.combinations_with_replacement(es, len(shape)):
-                        outer = tuple({K: (0, 1)} if r == len(shape) else {}
+                        outer = tuple({K: (0, 1, 0)} if r == len(shape) else {}
                                       for r in range(1, n + 1))
                         expected = {}
                         for R, contents in boxes_of.items():
@@ -595,18 +600,6 @@ def test_grouped_entries_matches_the_key_walk_and_the_oracle():
     assert nonzero > 10
 
 
-def _kernel_mutant(monkeypatch, *edits):
-    """Replace _grouped_entries with a copy of its source in which each
-    (old, new) edit is made; every old text occurs exactly once."""
-    src = textwrap.dedent(inspect.getsource(structures._grouped_entries))
-    for old, new in edits:
-        assert src.count(old) == 1, old
-        src = src.replace(old, new)
-    namespace = dict(vars(structures))
-    exec(compile(src, structures.__file__, "exec"), namespace)
-    monkeypatch.setattr(structures, "_grouped_entries", namespace["_grouped_entries"])
-
-
 @pytest.mark.parametrize("edits", [
     # no parity test: every summand counts once
     (("if cy > cap:", "if False:"), ("elif cy == co:", "else:")),
@@ -614,7 +607,7 @@ def _kernel_mutant(monkeypatch, *edits):
     (("co = corr + (rn & -rn).bit_length() - 1", "co = corr"),),
 ], ids=["no-parity-test", "no-run-correction"])
 def test_grouped_differential_catches_kernel_mutants(monkeypatch, edits):
-    _kernel_mutant(monkeypatch, *edits)
+    patch_mutant(monkeypatch, structures, "_grouped_entries", *edits)
     assert not all(_grouped_agrees(mor, n) for mor in _random_morphisms() for n in range(1, 8))
 
 
