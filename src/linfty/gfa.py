@@ -15,9 +15,10 @@ skew-symmetric maps of the theory are plainly symmetric.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "GradedSpace",
@@ -44,7 +45,7 @@ def set_bits(bits: int) -> Iterator[int]:
 class GradedSpace:
     """A finite-dimensional F2 vector space graded by integer degrees."""
 
-    __slots__ = ("_dims",)
+    __slots__ = ("_dims", "_dim", "_hash")
 
     def __init__(self, dims: Mapping[int, int]):
         for d, m in dims.items():
@@ -54,12 +55,11 @@ class GradedSpace:
         self._dims: Tuple[Tuple[int, int], ...] = tuple(
             sorted((d, m) for d, m in dims.items() if m > 0)
         )
+        self._dim: Dict[int, int] = dict(self._dims)
+        self._hash = hash(self._dims)
 
     def dim(self, degree: int) -> int:
-        for d, m in self._dims:
-            if d == degree:
-                return m
-        return 0
+        return self._dim.get(degree, 0)
 
     def degrees(self) -> Tuple[int, ...]:
         return tuple(d for d, _ in self._dims)
@@ -89,10 +89,10 @@ class GradedSpace:
         return Elem(degree, bits)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GradedSpace) and self._dims == other._dims
+        return self is other or (isinstance(other, GradedSpace) and self._dims == other._dims)
 
     def __hash__(self) -> int:
-        return hash(self._dims)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GradedSpace({dict(self._dims)})"
@@ -133,9 +133,13 @@ class SymMultiMap:
     given, the final slot is distinguished (module type): the map has
     ``arity - 1`` symmetric slots followed by one slot in ``last_space``.
     Every stored output satisfies  out degree = sum(input degrees) + shift.
+
+    A map never changes once built.  ``_kernel`` holds the table that the
+    relation kernels of ``structures`` read, built there on first use and
+    kept; it is no part of the map's value.
     """
 
-    __slots__ = ("arity", "shift", "sym_space", "last_space", "codomain", "_table")
+    __slots__ = ("arity", "shift", "sym_space", "last_space", "codomain", "_table", "_kernel")
 
     def __init__(
         self,
@@ -153,10 +157,32 @@ class SymMultiMap:
         self.sym_space = sym_space
         self.last_space = last_space
         self.codomain = codomain
+        self._kernel = None
+        # one pass over the entries, each key checked once against the slot
+        # dimensions looked up here
+        sym_dim, cod_dim = sym_space._dim.get, codomain._dim.get
+        last_dim = last_space._dim.get if last_space is not None else None
         table: dict[Key, int] = {}
         for key, bits in entries:
-            key = self._check_key(key)
-            if bits >> codomain.dim(self._out_degree(key)):
+            if len(key) != arity:
+                raise ValueError(f"key of length {len(key)} for arity {arity}")
+            if last_dim is None:
+                key = tuple(sorted(key))
+                syms = key
+            else:
+                syms = sorted(key[:-1])
+                key = (*syms, key[-1])
+            degree = shift
+            for slot, (d, i) in enumerate(syms):
+                if not 0 <= i < sym_dim(d, 0):
+                    raise ValueError(f"basis element {(d, i)} not in space of slot {slot}")
+                degree += d
+            if last_dim is not None:
+                d, i = key[-1]
+                if not 0 <= i < last_dim(d, 0):
+                    raise ValueError(f"basis element {(d, i)} not in space of slot {arity - 1}")
+                degree += d
+            if bits >> cod_dim(degree, 0):
                 raise ValueError(f"output bits exceed codomain dimension for key {key}")
             merged = table.get(key, 0) ^ bits
             if merged:
@@ -178,16 +204,6 @@ class SymMultiMap:
         """Sort the symmetric block; the distinguished final slot stays put."""
         k = self.n_sym
         return tuple(sorted(key[:k])) + tuple(key[k:])
-
-    def _check_key(self, key: Sequence[Basis]) -> Key:
-        if len(key) != self.arity:
-            raise ValueError(f"key of length {len(key)} for arity {self.arity}")
-        ckey = self.canonical_key(key)
-        for slot, (d, i) in enumerate(ckey):
-            space = self.last_space if (self.last_space is not None and slot == self.arity - 1) else self.sym_space
-            if not 0 <= i < space.dim(d):
-                raise ValueError(f"basis element {(d, i)} not in space of slot {slot}")
-        return ckey
 
     def signature(self) -> tuple:
         return (self.arity, self.shift, self.sym_space, self.last_space, self.codomain)
@@ -260,6 +276,7 @@ class SymMultiMap:
         return f"<{kind} arity={self.arity} shift={self.shift} entries={len(self._table)}>"
 
 
+@functools.lru_cache(maxsize=256)
 def zero_map(
     arity: int,
     shift: int,
@@ -267,7 +284,9 @@ def zero_map(
     codomain: GradedSpace,
     last_space: Optional[GradedSpace] = None,
 ) -> SymMultiMap:
-    """The zero map of the given signature."""
+    """The zero map of the given signature, built once per signature: a
+    structure's accessors hand it out for every arity they store no map at,
+    and build compares each stored map's signature with it."""
     return SymMultiMap(arity, shift, sym_space, codomain, (), last_space=last_space)
 
 
@@ -280,7 +299,7 @@ def flip_bit(m: SymMultiMap, key: Sequence[Basis], bit: int) -> SymMultiMap:
     out_dim = m.codomain.dim(sum(b[0] for b in ckey) + m.shift)
     if not 0 <= bit < out_dim:
         raise ValueError(f"bit {bit} out of range for output dimension {out_dim}")
-    entries = list(m.entries()) + [(ckey, 1 << bit)]
+    entries = list(m._table.items()) + [(ckey, 1 << bit)]
     return SymMultiMap(
         m.arity, m.shift, m.sym_space, m.codomain, entries,
         last_space=m.last_space,

@@ -46,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -133,10 +132,13 @@ def _integers(values) -> bool:
 def _int_key(key: str, what: str) -> int:
     """An object key holding an integer in canonical decimal: int() alone also
     reads "02", " 2", "+2" and "1_0", so two keys could name one integer."""
-    with suppress(ValueError):
-        if str(int(key)) == key:
-            return int(key)
-    raise FormatError(f"{what} {key!r} is not an integer in canonical decimal")
+    try:
+        value = int(key)
+    except ValueError:
+        value = None
+    if value is None or str(value) != key:
+        raise FormatError(f"{what} {key!r} is not an integer in canonical decimal")
+    return value
 
 
 def _unique(pairs: List[Tuple[str, object]]) -> dict:
@@ -149,22 +151,28 @@ def _unique(pairs: List[Tuple[str, object]]) -> dict:
 
 
 def _parse_space(name: str, doc: dict) -> GradedSpace:
+    what = f"space {name!r}"
     if not isinstance(doc, dict) or "dims" not in doc:
-        raise FormatError(f"space {name!r}: expected an object with a 'dims' field")
-    _known(doc, _SPACE_FIELDS, f"space {name!r}")
+        raise FormatError(f"{what}: expected an object with a 'dims' field")
+    _known(doc, _SPACE_FIELDS, what)
     if not isinstance(doc["dims"], dict):
-        raise FormatError(f"space {name!r}: malformed dims")
-    dims = {_int_key(d, f"space {name!r}: degree key"): m for d, m in doc["dims"].items()}
+        raise FormatError(f"{what}: malformed dims")
+    key_what = f"{what}: degree key"
+    dims = {_int_key(d, key_what): m for d, m in doc["dims"].items()}
     if not _integers(dims.values()):
-        raise FormatError(f"space {name!r}: every dimension must be an integer")
-    if any(m < 0 for m in dims.values()):
-        raise FormatError(f"space {name!r}: negative dimension")
+        raise FormatError(f"{what}: every dimension must be an integer")
+    if min(dims.values(), default=0) < 0:
+        raise FormatError(f"{what}: negative dimension")
     return GradedSpace(dims)
 
 
 def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) -> SymMultiMap:
     """The map described by doc, whose arity, shift, slot spaces and canonical
-    form are those of the zero map of its place in the structure."""
+    form are those of the zero map of its place in the structure.  Each
+    check is made once: here each entry's types and index limit as its
+    elements are read, then its output degree and duplicate outputs; in the
+    map's constructor each key's slots, canonical form and codomain.  A key
+    the constructor had to sort or merge is named in a warning."""
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected a map object")
     _known(doc, _MAP_FIELDS, where)
@@ -177,47 +185,60 @@ def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) ->
     ents = doc.get("entries", [])
     if not isinstance(ents, list):
         raise FormatError(f"{where}: 'entries' must be a list")
-    cod = zero.codomain
-    entries: list[Tuple[tuple, int]] = []
-    seen_keys = set()
+    shift = zero.shift
+    entries: List[Tuple[tuple, int]] = []
     for ent in ents:
         try:
-            key = tuple([(d, i) for d, i in ent["in"]])
-            outs = [(d, i) for d, i in ent["out"]]
+            ins, outs = ent["in"], ent["out"]
+            # the integer elements below the index limit, each read once
+            key = tuple([(d, i) for d, i in ins if type(d) is int is type(i) and i < MAX_INDEX])
+            out = [(d, i) for d, i in outs if type(d) is int is type(i) and i < MAX_INDEX]
         except (TypeError, ValueError, KeyError):
             raise FormatError(f"{where}: malformed entry {ent!r}") from None
         if len(ent) > 2:  # "in" and "out" were both read, so a third field is unknown
             _known(ent, _ENTRY_FIELDS, f"{where}: entry {ent!r}")
-        flat = sum(key, ()) + sum(outs, ())
-        if not _integers(flat):
-            raise FormatError(f"{where}: malformed entry {ent!r}")
-        if max(flat[1::2], default=0) >= MAX_INDEX:
-            raise FormatError(f"{where}: entry {ent!r} has a basis index at or above "
-                              f"the limit {MAX_INDEX} (2**24)")
-        out_deg = sum(d for d, _ in key) + zero.shift
+        if len(key) < len(ins) or len(out) < len(outs):
+            raise _bad_entry(where, ent)
         bits = 0
-        for d, i in outs:
-            if d != out_deg:
-                raise FormatError(
-                    f"{where}: output element {(d, i)} has degree {d}, expected {out_deg}"
-                )
-            if not 0 <= i < cod.dim(d):
-                raise FormatError(f"{where}: output element {(d, i)} outside the codomain")
-            if bits & (1 << i):
-                warnings.append(f"{where}: duplicate output element {(d, i)} canonicalized")
-            bits ^= 1 << i
-        ckey = zero.canonical_key(key)
-        if ckey != key:
-            warnings.append(f"{where}: entry {list(key)} canonicalized on load")
-        if ckey in seen_keys:
-            warnings.append(f"{where}: repeated multi-index {list(ckey)} merged on load")
-        seen_keys.add(ckey)
-        entries.append((ckey, bits))
+        if out:
+            out_deg = sum([d for d, _ in key]) + shift
+            for d, i in out:
+                if d != out_deg:
+                    raise FormatError(
+                        f"{where}: output element {(d, i)} has degree {d}, expected {out_deg}"
+                    )
+                if i < 0:
+                    raise FormatError(f"{where}: output element {(d, i)} outside the codomain")
+                if bits >> i & 1:
+                    warnings.append(f"{where}: duplicate output element {(d, i)} canonicalized")
+                bits ^= 1 << i
+        entries.append((key, bits))
     try:
-        return SymMultiMap(zero.arity, zero.shift, zero.sym_space, cod, entries,
-                           last_space=zero.last_space)
+        m = SymMultiMap(zero.arity, shift, zero.sym_space, zero.codomain, entries,
+                        last_space=zero.last_space)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
+    stored = m._table
+    if len(stored) < len(entries) or not all(key in stored for key, _ in entries):
+        # a key was not canonical, came twice or has no output: say which
+        seen = set()
+        for key, _ in entries:
+            ckey = m.canonical_key(key)
+            if ckey != key:
+                warnings.append(f"{where}: entry {list(key)} canonicalized on load")
+            if ckey in seen:
+                warnings.append(f"{where}: repeated multi-index {list(ckey)} merged on load")
+            seen.add(ckey)
+    return m
+
+
+def _bad_entry(where: str, ent: dict) -> FormatError:
+    """The error for an entry of pairs holding a number that is not an
+    integer, or else a basis index at or above MAX_INDEX."""
+    if not _integers([x for b in (*ent["in"], *ent["out"]) for x in b]):
+        return FormatError(f"{where}: malformed entry {ent!r}")
+    return FormatError(f"{where}: entry {ent!r} has a basis index at or above "
+                       f"the limit {MAX_INDEX} (2**24)")
 
 
 def _parse_op_table(where: str, doc: dict, max_arity: int, zero_of,

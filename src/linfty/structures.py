@@ -39,6 +39,15 @@ for L-valued and -1 for M-valued maps, its set bit t standing for
 (d, t ^ tag); so no key or output depends on L's dimension.  Keys are mapped
 back to module-slot-last form.
 
+The kernels read each map as its kernel table, key -> (out degree, bits,
+tag) in that convention (_kernel_table; the map's module slot decides the
+form).  A map never changes once built, so its table is built on the
+map's first use by a kernel, kept on the map (SymMultiMap._kernel) and
+read by every later residual, first_failure arity, compose and pullback;
+a new map (a sum, flip_bit, a parsed or restricted map) starts without
+one.  The table is no part of the map's value: equality, hashing, repr,
+entries() and serialization never see it, and the oracle does not use it.
+
 A structure stores its maps only up to its highest nonzero arity; max_arity
 is the truncation number alone.  Every loop over arities runs to the stored
 lengths.
@@ -77,6 +86,7 @@ def _fill(maps: Mapping[int, SymMultiMap], max_arity: int, zero_of, what: str
           ) -> Tuple[SymMultiMap, ...]:
     """The maps of arity 1..top, top the highest nonzero one, each with the
     signature of zero_of(k), the arity-k zero map that fills the gaps."""
+    top = 0
     for k, m in maps.items():
         if not 1 <= k <= max_arity:
             raise ValueError(f"{what}[{k}] outside 1..{max_arity}")
@@ -84,8 +94,9 @@ def _fill(maps: Mapping[int, SymMultiMap], max_arity: int, zero_of, what: str
         if m.signature() != zero.signature():
             raise ValueError(f"{what}[{k}]: expected arity {k}, shift {zero.shift} "
                              f"on the declared spaces, got {m!r}")
-    top = max((k for k, m in maps.items() if not m.is_zero), default=0)
-    return tuple(maps[k] if k in maps else zero_of(k) for k in range(1, top + 1))
+        if k > top and not m.is_zero:
+            top = k
+    return tuple([maps[k] if k in maps else zero_of(k) for k in range(1, top + 1)])
 
 
 @dataclass(frozen=True)
@@ -394,23 +405,32 @@ def _grouped_entries(outer: Family, inner: Family, n: int) -> List[Tuple[Key, in
 # structures as families, and the semidirect embedding
 # ---------------------------------------------------------------------------
 
+def _kernel_table(m: SymMultiMap) -> Table:
+    """m's table in L x| M keys, read from its stored entries unsorted.  A
+    map without a module slot keeps its keys and is L-valued (tag 0); in a
+    module-slot-last map the module input (d, i) is keyed (d, ~i) among the
+    others, and the outputs are M-valued (tag -1)."""
+    shift = m.shift
+    if m.last_space is None:
+        return {key: (sum(b[0] for b in key) + shift, bits, 0) for key, bits in m._table.items()}
+    table = {}
+    for key, bits in m._table.items():
+        xs, (d, i) = key[:-1], key[-1]
+        x = (d, ~i)
+        pos = bisect_left(xs, x)
+        table[xs[:pos] + (x,) + xs[pos:]] = (sum(b[0] for b in key) + shift, bits, -1)
+    return table
+
+
 def _family(maps: Sequence[SymMultiMap]) -> Family:
-    """Tables of maps without a module slot, L-valued (tag 0)."""
-    return tuple({key: (sum(b[0] for b in key) + m.shift, bits, 0) for key, bits in m.entries()}
-                 for m in maps)
-
-
-def _module_family(maps: Sequence[SymMultiMap]) -> Family:
-    """Tables of module-slot-last maps over L in L x| M keys: the module
-    input (d, i) is keyed (d, ~i) among the others, and the outputs are
-    M-valued (tag -1)."""
+    """The kernel tables of the maps, each built on its map's first use and
+    kept there: a map never changes, so every residual, compose and pullback
+    of every arity reads the same table."""
     family = []
     for m in maps:
-        table = {}
-        for key, bits in m.entries():
-            xs, x = key[:-1], (key[-1][0], ~key[-1][1])
-            pos = bisect_left(xs, x)
-            table[xs[:pos] + (x,) + xs[pos:]] = (sum(b[0] for b in key) + m.shift, bits, -1)
+        table = m._kernel
+        if table is None:
+            table = m._kernel = _kernel_table(m)
         family.append(table)
     return tuple(family)
 
@@ -424,9 +444,11 @@ def _merged(*families: Family) -> Family:
 
 def _identity(outer: Family) -> Family:
     """id_M at arity 1, stored only on the M elements some key of outer
-    holds: no other one can reach a nonzero outer summand."""
+    holds: no other one can reach a nonzero outer summand.  The value of
+    (d, ~i) is bit 0 under tag ~i, which stands for (d, ~i) itself, so its
+    size does not follow the index i."""
     held = {b for table in outer for key in table for b in key if b[1] < 0}
-    return ({(b,): (b[0], 1 << ~b[1], -1) for b in sorted(held)},)
+    return ({(b,): (b[0], 1, b[1]) for b in sorted(held)},)
 
 
 def _one_module_keys(alg: Sequence[Basis], ms: Sequence[Basis], n: int) -> Iterator[Key]:
@@ -484,7 +506,7 @@ def module_residual(module: LinfModule, n: int) -> SymMultiMap:
     with exactly one module element, as one map (module slot last)."""
     _check_arity(n)
     alg, mod = module.algebra.space, module.space
-    k = _module_family(module.ops)
+    k = _family(module.ops)
     entries = _insertion(k, _merged(_family(module.algebra.ops), k), n)
     return _module_map(n, n - 3, alg, mod, mod, entries)
 
@@ -495,9 +517,9 @@ def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
     relation of id_L + h on one module input, id_L being strict."""
     _check_arity(n)
     alg, mod = h.source.algebra.space, h.source.space
-    hf = _module_family(h.comps)
-    lk = _merged(_family(h.source.algebra.ops), _module_family(h.source.ops))
-    k = _module_family(h.target.ops)
+    hf = _family(h.comps)
+    lk = _merged(_family(h.source.algebra.ops), _family(h.source.ops))
+    k = _family(h.target.ops)
     entries = _insertion(hf, lk, n) + _insertion(k, hf, n)
     return _module_map(n, n - 2, alg, h.target.space, mod, entries)
 
@@ -576,7 +598,7 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
         raise ValueError("compose requires morphisms over the same algebra")
     N = min(f.max_arity, g.max_arity)
     space, mod = alg.space, f.source.space
-    G, F = _module_family(g.comps), _module_family(f.comps)
+    G, F = _family(g.comps), _family(f.comps)
     comps = {n: _module_map(n, n - 1, space, g.target.space, mod, _insertion(G, F, n))
              for n in range(1, min(N, len(f.comps) + len(g.comps) - 1) + 1)}
     return ModuleMorphism.build(f.source, g.target, N, comps)
@@ -607,7 +629,7 @@ def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap],
     if not maps:
         return {}
     src, first, f = morphism.source.space, maps[0], _family(morphism.comps)
-    outer = _module_family(maps)
+    outer = _family(maps)
     ident = _identity(outer)
     inner = _merged(f, ident)
     xs = sorted({x for table in f for key in table for x in key})

@@ -74,3 +74,23 @@ def patch_mutant(monkeypatch, module, name, *edits):
     namespace = dict(vars(module))
     exec(compile(src, module.__file__, "exec"), namespace)
     monkeypatch.setattr(module, name, namespace[name])
+
+
+def stored_maps(st):
+    """Every map a structure stores, its algebras', modules' and their
+    algebras' included."""
+    maps = list(getattr(st, "ops", ())) + list(getattr(st, "comps", ()))
+    for part in ("algebra", "source", "target"):
+        if hasattr(st, part):
+            maps += stored_maps(getattr(st, part))
+    return maps
+
+
+def untabled(structures):
+    """The structures, after checking that no nonzero map they store has a
+    kernel table yet: a mutant kernel must build its own tables, and a table
+    it builds must not outlive the test.  Zero maps are shared, but every
+    table builder gives them the same empty table."""
+    for st in structures:
+        assert all(m._kernel is None for m in stored_maps(st) if not m.is_zero)
+    return structures

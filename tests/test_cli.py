@@ -132,12 +132,22 @@ def _malformed(edit):
     lambda doc, a: (doc["spaces"]["L"].update(dims={"0": 10**13}), doc["structures"]["m"].update(
         ops={"2": {"arity": 2, "shift": 0,
                    "entries": [{"in": [[0, 0], [0, 10**12]], "out": [[0, 0]]}]}})),
+    # indices the map's constructor refuses in its one pass over the keys,
+    # and the one output check made while the outputs are read
+    lambda doc, a: a["ops"]["2"].update(entries=[{"in": [[0, -1], [0, 0]], "out": [[0, 0]]}]),
+    lambda doc, a: a["ops"]["2"].update(entries=[{"in": [[0, 0], [0, 1]], "out": [[0, 0]]}]),
+    lambda doc, a: doc["structures"]["m"].update(
+        ops={"2": {"arity": 2, "shift": 0, "entries": [{"in": [[0, 0], [0, 1]], "out": []}]}}),
+    lambda doc, a: a["ops"]["2"].update(entries=[{"in": [[0, 0], [0, 0]], "out": [[0, -1]]}]),
+    lambda doc, a: a["ops"]["2"].update(entries=[{"in": [[0, 0], [0, 0]], "out": [[0, 1]]}]),
 ], ids=["max_arity-null", "spaces-list", "ops-list", "entries-int", "space-list",
         "kind-list", "reference-list", "max_arity-true", "in-float", "out-false", "dims-float",
         "dims-string", "dims-bool", "arity-true", "shift-float", "morphism-ops", "entries-misspelled",
         "entry-extra-key", "space-extra-key", "structures-misspelled", "arity-key-leading-zero",
         "arity-key-space", "arity-key-plus", "dims-key-leading-zero", "dims-key-underscore",
-        "dims-key-minus-zero", "out-index-1e12", "module-slot-index-1e12"])
+        "dims-key-minus-zero", "out-index-1e12", "module-slot-index-1e12", "in-index-negative",
+        "in-index-outside-space", "module-slot-outside-space", "out-index-negative",
+        "out-index-outside-codomain"])
 def test_verify_malformed_bundle_exit_two(tmp_path, capsys, edit):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(_malformed(edit)))

@@ -107,6 +107,52 @@ def test_parse_limits_basis_indices(slot):
         parse_bundle(json.dumps(doc))
 
 
+@pytest.mark.parametrize("structure, ent, message", [
+    ("heisenberg", {"in": [[0, -1], [0, 0]], "out": [[0, 2]]},
+     r"basis element \(0, -1\) not in space of slot 0"),
+    ("heisenberg", {"in": [[0, 0], [0, 3]], "out": [[0, 2]]},
+     r"basis element \(0, 3\) not in space of slot 1"),
+    ("adjoint", {"in": [[0, 0], [0, 3]], "out": [[0, 2]]},
+     r"basis element \(0, 3\) not in space of slot 1"),
+    ("heisenberg", {"in": [[0, 0], [0, 1]], "out": [[0, -1]]},
+     r"output element \(0, -1\) outside the codomain"),
+    ("heisenberg", {"in": [[0, 0], [0, 1]], "out": [[0, 3]]},
+     r"output bits exceed codomain dimension for key \(\(0, 0\), \(0, 1\)\)"),
+    ("heisenberg", {"in": [[0, 0], [0, 1]], "out": [[1, 0]]},
+     r"output element \(1, 0\) has degree 1, expected 0"),
+], ids=["in-negative", "in-outside-space", "module-slot-outside-space", "out-negative",
+        "out-outside-codomain", "out-wrong-degree"])
+def test_parse_names_each_bad_element(structure, ent, message):
+    # each element is checked once, while the entries are read or in the
+    # map's constructor, and the error names the map and the element
+    doc = json.loads(serialize_bundle(fixtures.build("heisenberg-adjoint")))
+    doc["structures"][structure]["ops"]["2"]["entries"] = [ent]
+    with pytest.raises(FormatError, match=message) as exc:
+        parse_bundle(json.dumps(doc))
+    kind = "module" if structure == "adjoint" else "algebra"
+    assert str(exc.value).startswith(f"{kind} {structure!r}[2]: ")
+
+
+def test_parse_warns_once_per_canonicalized_input():
+    # a key out of order, the same key again with a duplicated output, and
+    # a canonical key with no output, which adds nothing and is not named
+    doc = json.loads(serialize_bundle(fixtures.build("heisenberg-adjoint")))
+    doc["structures"]["heisenberg"]["ops"]["2"]["entries"] = [
+        {"in": [[0, 1], [0, 0]], "out": [[0, 2]]},
+        {"in": [[0, 0], [0, 1]], "out": [[0, 2], [0, 2]]},
+        {"in": [[0, 0], [0, 2]], "out": []}]
+    bundle = parse_bundle(json.dumps(doc))
+    where = "algebra 'heisenberg'[2]"
+    assert bundle.warnings == [
+        f"{where}: duplicate output element (0, 2) canonicalized",
+        f"{where}: entry [(0, 1), (0, 0)] canonicalized on load",
+        f"{where}: repeated multi-index [(0, 0), (0, 1)] merged on load"]
+    assert bundle.structures["heisenberg"] == fixtures.build("heisenberg-adjoint").structures[
+        "heisenberg"]
+    # the fixture's own entries are canonical: no warning
+    assert parse_bundle(serialize_bundle(fixtures.build("heisenberg-adjoint"))).warnings == []
+
+
 def test_parse_rejects_mismatched_shift():
     doc = json.loads(serialize_bundle(fixtures.build("heisenberg-adjoint")))
     doc["structures"]["heisenberg"]["ops"]["2"]["shift"] = 1

@@ -9,7 +9,7 @@ from linfty.oracle import LabeledOperator, lemma4_equal, lemma4_lhs, lemma4_rhs,
 from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
                                complete_bound, residual)
 from helpers import (KIND_OF, patch_mutant, random_algebra, random_map, random_modhom,
-                     random_module, random_morphism)
+                     random_module, random_morphism, untabled)
 
 
 def test_labeled_operator_validation():
@@ -120,7 +120,7 @@ def test_naive_residual_catches_a_dropped_slot_rotation(monkeypatch):
 
 
 @pytest.mark.parametrize("old,new", [
-    ("(key[-1][0], ~key[-1][1])", "key[-1]"),
+    ("x = (d, ~i)", "x = (d, i)"),
     ("bits, -1)", "bits, 0)"),
 ], ids=["module-input-untagged", "module-outputs-tagged-as-L"])
 def test_naive_residual_catches_an_untagged_embedding(monkeypatch, old, new):
@@ -128,11 +128,12 @@ def test_naive_residual_catches_an_untagged_embedding(monkeypatch, old, new):
     # output is tagged -1, so it meets only that key.  Keyed as (d, i), the
     # module input collides with L's element (d, i) and M-valued outputs
     # find no key; tagged 0, an M-valued output fills L slots.  Each mutant
-    # of _module_family returns a wrong residual on the seeded structures
-    # without raising, besides raising on others
-    patch_mutant(monkeypatch, structures, "_module_family", (old, new))
+    # of the table builder returns a wrong residual on the seeded structures
+    # without raising, besides raising on others.  The structures are new,
+    # so every table is the mutant's, and it dies with them
+    patch_mutant(monkeypatch, structures, "_kernel_table", (old, new))
     outcomes = Counter()
-    for st in _seeded_structures():
+    for st in untabled(_seeded_structures()):
         for n in range(1, 6):
             try:
                 outcomes[naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)] += 1

@@ -454,6 +454,20 @@ def test_module_cost_follows_entries_not_dimensions():
             warnings.simplefilter("error")
             restricted = restrict_module(context(I), mod)
         assert restricted.op(2).entries() == ((((0, 0), (0, 0)), 0b10),)
+    # a module built through the API, where the bundle format's index limit
+    # does not apply, acting on the module element of index 10**12: id_M in
+    # the pullback holds it as bit 0 under its tag, not as 1 << 10**12
+    big = 10**12
+    L, M, Lp = GradedSpace({0: 10}), GradedSpace({0: big + 1}), GradedSpace({0: 1})
+    alg = LinfAlgebra.build(L, 4, {})
+    mod = LinfModule.build(alg, M, 4, {2: SymMultiMap(
+        2, 0, L, M, [(((0, 0), (0, big)), 0b10)], last_space=M)})
+    I = LinfMorphism.build(LinfAlgebra.build(Lp, 4, {}), alg, 4, {
+        1: SymMultiMap(1, 0, Lp, L, [(((0, 0),), 1)])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        restricted = restrict_module(context(I), mod)
+    assert restricted.op(2).entries() == ((((0, 0), (0, big)), 0b10),)
     assert time.perf_counter() - start < 0.5
 
 

@@ -29,9 +29,10 @@ from linfty.structures import (
     _splits,
     _values_eval,
 )
+from linfty.jsonio import serialize_bundle
 from linfty.oracle import naive_residual
 from helpers import (patch_mutant, random_algebra, random_modhom, random_module, random_morphism,
-                     set_partitions)
+                     set_partitions, stored_maps, untabled)
 
 V2 = GradedSpace({0: 2, 1: 2})
 W2 = GradedSpace({0: 2, -1: 1})
@@ -490,6 +491,74 @@ def test_compose_requires_matching_modules():
 
 
 # ---------------------------------------------------------------------------
+# kernel tables
+# ---------------------------------------------------------------------------
+
+def _counted_tables(monkeypatch):
+    """The maps whose kernel table gets built from here on, one list item
+    per build (holding the map keeps its id from being reused)."""
+    built = []
+    build = structures._kernel_table
+
+    def counted(m):
+        built.append(m)
+        return build(m)
+
+    monkeypatch.setattr(structures, "_kernel_table", counted)
+    return built
+
+
+def test_first_failure_builds_each_table_once(monkeypatch):
+    # every fixture structure is valid, so first_failure computes every
+    # arity up to its complete bound, each reading the same maps again
+    built = _counted_tables(monkeypatch)
+    sts = [st for name in fixtures.FIXTURES for st in fixtures.build(name).structures.values()]
+    for st in sts:
+        assert first_failure(st, complete_bound(st)) is None
+    assert max(complete_bound(st) for st in sts) >= 3
+    counts = Counter(map(id, built))
+    assert set(counts.values()) == {1}
+    own = [m for st in sts for m in getattr(st, "ops", ()) + getattr(st, "comps", ())
+           if not m.is_zero]
+    assert own and {id(m) for m in own} <= set(counts)
+    for st in sts:  # again: every table is kept
+        first_failure(st, complete_bound(st))
+    assert len(built) == len(counts)
+
+
+def test_kernel_table_is_no_part_of_the_value():
+    # the same bundle built twice, its tables built on one copy only
+    used, fresh = fixtures.build("functoriality-chain"), fixtures.build("functoriality-chain")
+    text = serialize_bundle(fresh)
+    for st in used.structures.values():
+        for n in range(1, complete_bound(st) + 1):
+            residual(st, n)
+    pairs = [(m, f) for name, st in used.structures.items()
+             for m, f in zip(stored_maps(st), stored_maps(fresh.structures[name]))]
+    assert any(m._kernel for m, _ in pairs)
+    assert all(f._kernel is None for _, f in pairs if not f.is_zero)  # zero maps are shared
+    for m, f in pairs:
+        assert m == f and hash(m) == hash(f) and repr(m) == repr(f)
+        assert m.entries() == f.entries()
+    assert used.structures == fresh.structures
+    assert serialize_bundle(used) == serialize_bundle(fresh) == text
+
+
+def test_new_maps_build_their_own_tables():
+    alg = _heisenberg()
+    l2 = alg.op(2)
+    assert jacobi_residual(alg, 3).is_zero and l2._kernel
+    before = dict(l2._kernel)
+    key = ((0, 0), (0, 2))
+    for new in (flip_bit(l2, key, 0), l2 + SymMultiMap(2, 0, alg.space, alg.space, [(key, 1)])):
+        assert new._kernel is None
+        mutated = LinfAlgebra.build(alg.space, alg.max_arity, {2: new})
+        assert not jacobi_residual(mutated, 3).is_zero
+        assert new._kernel == {**before, key: (0, 1, 0)}
+        assert l2._kernel == before
+
+
+# ---------------------------------------------------------------------------
 # residual plumbing
 # ---------------------------------------------------------------------------
 
@@ -607,8 +676,10 @@ def test_grouped_entries_matches_the_key_walk_and_the_oracle():
     (("co = corr + (rn & -rn).bit_length() - 1", "co = corr"),),
 ], ids=["no-parity-test", "no-run-correction"])
 def test_grouped_differential_catches_kernel_mutants(monkeypatch, edits):
+    # on new structures, whose tables no other test has built or reads
     patch_mutant(monkeypatch, structures, "_grouped_entries", *edits)
-    assert not all(_grouped_agrees(mor, n) for mor in _random_morphisms() for n in range(1, 8))
+    assert not all(_grouped_agrees(mor, n) for mor in untabled(_random_morphisms())
+                   for n in range(1, 8))
 
 
 def test_morphism_residual_cost_follows_stored_entries():
