@@ -15,7 +15,6 @@ skew-symmetric maps of the theory are plainly symmetric.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -276,7 +275,9 @@ class SymMultiMap:
         return f"<{kind} arity={self.arity} shift={self.shift} entries={len(self._table)}>"
 
 
-@functools.lru_cache(maxsize=256)
+_zeros: Dict[tuple, SymMultiMap] = {}
+
+
 def zero_map(
     arity: int,
     shift: int,
@@ -284,10 +285,20 @@ def zero_map(
     codomain: GradedSpace,
     last_space: Optional[GradedSpace] = None,
 ) -> SymMultiMap:
-    """The zero map of the given signature, built once per signature: a
-    structure's accessors hand it out for every arity they store no map at,
-    and build compares each stored map's signature with it."""
-    return SymMultiMap(arity, shift, sym_space, codomain, (), last_space=last_space)
+    """The zero map of the given signature, built once per signature and
+    space objects: a structure's accessors hand it out for every arity they
+    store no map at, and build compares each stored map's signature with it.
+    The cache holds at most 256 maps (it is emptied when full) and is keyed
+    by the spaces' ids, which no other object can take while the cached map
+    holds the spaces, so a lookup calls no GradedSpace.__hash__ or __eq__."""
+    key = (arity, shift, id(sym_space), id(codomain), id(last_space))
+    zero = _zeros.get(key)
+    if zero is None:
+        if len(_zeros) >= 256:
+            _zeros.clear()
+        zero = _zeros[key] = SymMultiMap(arity, shift, sym_space, codomain, (),
+                                         last_space=last_space)
+    return zero
 
 
 def flip_bit(m: SymMultiMap, key: Sequence[Basis], bit: int) -> SymMultiMap:

@@ -43,8 +43,10 @@ so this module restates none of them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -124,6 +126,9 @@ def digest(text: str) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
+_first = operator.itemgetter(0)
+
+
 def _integers(values) -> bool:
     """Whether every value is a JSON integer (bool is an int subclass)."""
     return set(map(type, values)) <= {int}
@@ -163,63 +168,68 @@ def _parse_space(name: str, doc: dict) -> GradedSpace:
         raise FormatError(f"{what}: every dimension must be an integer")
     if min(dims.values(), default=0) < 0:
         raise FormatError(f"{what}: negative dimension")
-    return GradedSpace(dims)
+    return _space(tuple(dims.items()))
+
+
+@functools.lru_cache(maxsize=256)
+def _space(dims: Tuple[Tuple[int, int], ...]) -> GradedSpace:
+    """One space object per dims across the parses of one process, such as
+    the files of one command: the zero maps an earlier parse cached
+    (gfa.zero_map) then meet this parse's spaces as the same objects, which
+    compare by identity rather than through GradedSpace.__eq__."""
+    return GradedSpace(dict(dims))
 
 
 def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) -> SymMultiMap:
     """The map described by doc, whose arity, shift, slot spaces and canonical
     form are those of the zero map of its place in the structure.  Each
-    check is made once: here each entry's types and index limit as its
-    elements are read, then its output degree and duplicate outputs; in the
-    map's constructor each key's slots, canonical form and codomain.  A key
-    the constructor had to sort or merge is named in a warning."""
+    check is made once: here each entry's types, index limit, output degree
+    and duplicate outputs (_entry_error names a fault); in the map's
+    constructor each key's slots, canonical form and codomain.  A key the
+    constructor had to sort or merge is named in a warning."""
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected a map object")
     _known(doc, _MAP_FIELDS, where)
-    declared = (doc.get("arity"), doc.get("shift"))
-    if declared != (zero.arity, zero.shift) or not _integers(declared):
+    arity, shift = doc.get("arity"), doc.get("shift")
+    if (arity, shift) != (zero.arity, zero.shift) or not type(arity) is int is type(shift):
         raise FormatError(
-            f"{where}: declared arity/shift {declared[0]}/{declared[1]} "
+            f"{where}: declared arity/shift {arity}/{shift} "
             f"do not match the required {zero.arity}/{zero.shift}"
         )
     ents = doc.get("entries", [])
     if not isinstance(ents, list):
         raise FormatError(f"{where}: 'entries' must be a list")
-    shift = zero.shift
     entries: List[Tuple[tuple, int]] = []
     for ent in ents:
+        # every check on an entry is made here, in one pass; an entry that
+        # fails one is handed to _entry_error only to name its fault
         try:
             ins, outs = ent["in"], ent["out"]
-            # the integer elements below the index limit, each read once
-            key = tuple([(d, i) for d, i in ins if type(d) is int is type(i) and i < MAX_INDEX])
-            out = [(d, i) for d, i in outs if type(d) is int is type(i) and i < MAX_INDEX]
-        except (TypeError, ValueError, KeyError):
-            raise FormatError(f"{where}: malformed entry {ent!r}") from None
-        if len(ent) > 2:  # "in" and "out" were both read, so a third field is unknown
-            _known(ent, _ENTRY_FIELDS, f"{where}: entry {ent!r}")
-        if len(key) < len(ins) or len(out) < len(outs):
-            raise _bad_entry(where, ent)
-        bits = 0
-        if out:
-            out_deg = sum([d for d, _ in key]) + shift
-            for d, i in out:
-                if d != out_deg:
-                    raise FormatError(
-                        f"{where}: output element {(d, i)} has degree {d}, expected {out_deg}"
-                    )
-                if i < 0:
-                    raise FormatError(f"{where}: output element {(d, i)} outside the codomain")
+            key, degree, bits = [], shift, 0
+            for d, i in ins:
+                if type(d) is not int or type(i) is not int or i >= MAX_INDEX:
+                    raise _Faulty
+                key.append((d, i))
+                degree += d
+            for d, i in outs:
+                if (type(d) is not int or type(i) is not int or d != degree
+                        or not 0 <= i < MAX_INDEX):
+                    raise _Faulty
                 if bits >> i & 1:
                     warnings.append(f"{where}: duplicate output element {(d, i)} canonicalized")
                 bits ^= 1 << i
-        entries.append((key, bits))
+            if len(ent) > 2:
+                raise _Faulty
+        except (TypeError, ValueError, KeyError, _Faulty):
+            raise _entry_error(where, ent, shift) from None
+        entries.append((tuple(key), bits))
     try:
         m = SymMultiMap(zero.arity, shift, zero.sym_space, zero.codomain, entries,
                         last_space=zero.last_space)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
     stored = m._table
-    if len(stored) < len(entries) or not all(key in stored for key, _ in entries):
+    if len(stored) < len(entries) or not all(map(stored.__contains__, map(_first, entries))):
         # a key was not canonical, came twice or has no output: say which
         seen = set()
         for key, _ in entries:
@@ -230,6 +240,39 @@ def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) ->
                 warnings.append(f"{where}: repeated multi-index {list(ckey)} merged on load")
             seen.add(ckey)
     return m
+
+
+class _Faulty(Exception):
+    """An entry that fails a check of _parse_map."""
+
+
+def _entry_error(where: str, ent, shift: int) -> FormatError:
+    """The error naming the first fault of an entry that _parse_map refused,
+    looking for faults in this order: a part that is not a list of pairs
+    or a missing field, an unknown field, an element that is not a pair of
+    integers below MAX_INDEX, then each output element's degree and sign.
+    It makes no check of its own: a fault it does not list is named as a
+    malformed entry."""
+    try:
+        ins, outs = ent["in"], ent["out"]
+        for d, i in (*ins, *outs):
+            pass
+    except (TypeError, ValueError, KeyError):
+        return FormatError(f"{where}: malformed entry {ent!r}")
+    try:
+        _known(ent, _ENTRY_FIELDS, f"{where}: entry {ent!r}")
+    except FormatError as exc:
+        return exc
+    if not all(type(d) is int is type(i) and i < MAX_INDEX for d, i in (*ins, *outs)):
+        return _bad_entry(where, ent)
+    out_deg = sum([d for d, _ in ins]) + shift
+    for d, i in outs:
+        if d != out_deg:
+            return FormatError(
+                f"{where}: output element {(d, i)} has degree {d}, expected {out_deg}")
+        if i < 0:
+            return FormatError(f"{where}: output element {(d, i)} outside the codomain")
+    return FormatError(f"{where}: malformed entry {ent!r}")
 
 
 def _bad_entry(where: str, ent: dict) -> FormatError:

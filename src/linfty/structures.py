@@ -36,8 +36,8 @@ by h_s: the module morphism relation and compose are insertion sums.
 Embedding convention, private to this module: M's element (d, i) is keyed
 (d, ~i), an index no L element uses, and each table value carries a tag, 0
 for L-valued and -1 for M-valued maps, its set bit t standing for
-(d, t ^ tag); so no key or output depends on L's dimension.  Keys are mapped
-back to module-slot-last form.
+(d, t ^ tag); so no key or output depends on L's dimension.  The kernels'
+keys come back in module-slot-last form (see below).
 
 The kernels read each map as its kernel table, key -> (out degree, bits,
 tag) in that convention (_kernel_table; the map's module slot decides the
@@ -47,6 +47,24 @@ read by every later residual, first_failure arity, compose and pullback;
 a new map (a sum, flip_bit, a parsed or restricted map) starts without
 one.  The table is no part of the map's value: equality, hashing, repr,
 entries() and serialization never see it, and the oracle does not use it.
+
+A structure's relation is one or two sums of those tables (_sums), and the
+kernels read them through the structure's kernel plan (_Plan), built on
+its first residual and kept in its _plan field.  The plan holds the
+numbering of the elements the tables' keys hold (L's, then M's), in bit
+fields wide enough for every arity up to complete_bound (above it the
+kernels find no entries whose arities add up, at any width); each inner
+table's codes and output elements; each outer table's index under
+the elements its keys hold; the l + k family of a module or module
+morphism, read side by side; and a morphism's grouped-sum inner index.  So
+each table is encoded and indexed once per structure, and each residual
+and first_failure arity runs only the pair loop and the decode, which
+gives back the map's own keys, M's element last as (d, i).  Nothing in a
+structure or its maps changes once built, so its plan never goes stale; a
+structure built anew (parsed, built from maps, restricted or composed)
+starts without one, so building one costs no encoding.  compose builds
+one plan per call.  Like the tables, the plan is plain data outside the
+structure's value: equality, hashing, repr and serialization skip it.
 
 A structure stores its maps only up to its highest nonzero arity; max_arity
 is the truncation number alone.  Every loop over arities runs to the stored
@@ -58,7 +76,7 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -106,6 +124,7 @@ class LinfAlgebra:
     space: GradedSpace
     max_arity: int
     ops: Tuple[SymMultiMap, ...]
+    _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def build(space: GradedSpace, max_arity: int, ops: Mapping[int, SymMultiMap]) -> "LinfAlgebra":
@@ -126,6 +145,7 @@ class LinfMorphism:
     target: LinfAlgebra
     max_arity: int
     comps: Tuple[SymMultiMap, ...]
+    _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def build(source: LinfAlgebra, target: LinfAlgebra, max_arity: int,
@@ -147,6 +167,7 @@ class LinfModule:
     space: GradedSpace
     max_arity: int
     ops: Tuple[SymMultiMap, ...]
+    _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def build(algebra: LinfAlgebra, space: GradedSpace, max_arity: int,
@@ -168,6 +189,7 @@ class ModuleMorphism:
     target: LinfModule
     max_arity: int
     comps: Tuple[SymMultiMap, ...]
+    _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def build(source: LinfModule, target: LinfModule, max_arity: int,
@@ -226,67 +248,36 @@ def _values_eval(table: Table, values: Tuple[Tuple[int, int, int], ...]) -> int:
     return acc
 
 
-def _multisets(elements: Iterable[Basis], n: int):
-    """(code, decode) for multisets of at most n of the given basis elements:
-    code(A) holds m_A(b) in a field of n.bit_length() bits per element b, so
-    code(A) & code(B) == 0 exactly when every m_A(b) & m_B(b) == 0, and then
-    code(A u B) = code(A) | code(B).  decode gives back the sorted tuple."""
-    elems = sorted(set(elements))
-    width = n.bit_length()
-    field = {b: 1 << (k * width) for k, b in enumerate(elems)}
-    mask = (1 << width) - 1
+def _insertion(plan: "_Plan", part, n: int, acc: Dict[int, int]) -> None:
+    """Add the insertion sum sum_{i+j=n+1} sum_{S(i,n-i)} outer_j(inner_i(..),
+    ..) into acc, code -> output bits, from one insertion part of the plan,
+    in whose numbering its codes are (plan.decode reads one back as a key).
 
-    def code(key: Key) -> int:
-        return sum(map(field.__getitem__, key))
-
-    def decode(c: int) -> Key:
-        out: List[Basis] = []
-        for b in elems:
-            if c & mask:
-                out += [b] * (c & mask)
-            c >>= width
-            if not c:
-                break
-        return tuple(out)
-
-    return code, decode
-
-
-def _insertion(outer: Family, inner: Family, n: int) -> List[Tuple[Key, int]]:
-    """The insertion sum sum_{i+j=n+1} sum_{S(i,n-i)} outer_j(inner_i(..), ..)
-    as (key, bits) for the canonical keys where it is nonzero.
-
-    Each entry K of outer_j is indexed once under each element e it holds,
-    as B = K minus one e.  An entry A -> (d, bits, tag) of inner_i meets
-    every B under e = (d, t ^ tag), t a set bit of bits, and adds the output
-    of K to A u B once per split of A u B that takes A: prod_b C(m_A(b) +
-    m_B(b), m_A(b)) times, which by Kummer's theorem is odd exactly when
-    code(A) & code(B) == 0 (see _multisets).  Disjoint A and B always count.
+    The part holds each entry A -> (d, bits, tag) of inner_i as code(A) and
+    the numbers of the elements (d, t ^ tag), t a set bit of bits, that
+    some outer key holds; and each entry K of outer_j once under each
+    element e it holds, as code(B), B = K minus one e.  A meets every B
+    under its elements and adds the output of K to A u B once per split of
+    A u B that takes A: prod_b C(m_A(b) + m_B(b), m_A(b)) times, which by
+    Kummer's theorem is odd exactly when code(A) & code(B) == 0 (see
+    _Plan), and then code(A u B) = code(A) | code(B).  Disjoint A and B
+    always count.
 
     With module maps alone as outer (k, h, k' or g), every A u B holds one
     M element: each outer key holds one, and an M-valued inner output (tag
     -1) can fill only that M slot (see the module docstring).
     """
-    live = [(_at(inner, i), _at(outer, n + 1 - i))
-            for i in range(1, n + 1) if _at(inner, i) and _at(outer, n + 1 - i)]
-    if not live:
-        return []
-    code, decode = _multisets((b for tin, tout in live for t in (tin, tout)
-                               for key in t for b in key), n)
-    acc: Dict[int, int] = {}
-    for tin, tout in live:
-        under: Dict[Basis, List[Tuple[int, int]]] = {}
-        for key, (_, bits, _) in tout.items():
-            for p, e in enumerate(key):
-                if not p or key[p - 1] != e:
-                    under.setdefault(e, []).append((code(key[:p] + key[p + 1:]), bits))
-        for key, (d, bits, tag) in tin.items():
-            a = code(key)
-            for t in set_bits(bits):
-                for b, ob in under.get((d, t ^ tag), ()):
+    ins, unders = part
+    for i in range(max(1, n + 1 - len(unders)), min(n, len(ins)) + 1):
+        under = unders[n - i]
+        if not under:
+            continue
+        for a, outs in ins[i - 1]:
+            for e in outs:
+                for b, ob in under.get(e, ()):
                     if not a & b:
-                        acc[a | b] = acc.get(a | b, 0) ^ ob
-    return [(decode(c), bits) for c, bits in acc.items() if bits]
+                        c = a | b
+                        acc[c] = acc.get(c, 0) ^ ob
 
 
 def _partitions(n: int, least: int = 1) -> Iterator[Tuple[int, ...]]:
@@ -336,38 +327,27 @@ def _grouped(outer: Family, inner: Family, n: int, keys: Iterable[Key]) -> List[
     return [(key, bits) for key, bits in ((key, walk(key, (), ())) for key in keys) if bits]
 
 
-def _grouped_entries(outer: Family, inner: Family, n: int) -> List[Tuple[Key, int]]:
-    """The grouped sum of _grouped over every canonical key, driven by stored
-    entries: (key, bits) for the keys where it is nonzero.
+def _grouped_entries(plan: "_Plan", part, n: int, acc: Dict[int, int]) -> None:
+    """Add the grouped sum of _grouped over every canonical key into acc,
+    code -> output bits, from one grouped part of the plan (see _insertion).
 
-    Each entry A -> (d, bits, tag) of inner_s is indexed under (d, t ^ tag)
-    for each set bit t of bits.  An entry K = (k_1..k_r) of outer_r gives
-    each slot t an entry A_t indexed under k_t, with sum |A_t| = n, and adds
-    the output of K to R = A_1 u .. u A_r once per set partition of R into
-    boxes A_t read at bit k_t: prod_b m_R(b)! / (prod_t prod_b m_{A_t}(b)!
-    prod_p c_p!) times, c_p the number of slots holding the pair p = (A_t,
-    k_t).  Slots under equal k's take nondecreasing candidate indices, so
-    each multiset of pairs comes once, with equal pairs adjacent.  R's fields
-    hold at most n, so code(R) = sum_t code(A_t) (see _multisets), and by
-    Legendre (v_2(m!) = m - s_2(m), s_2 the binary digit sum) the count is
-    odd exactly when that sum has as many carries, sum_t s_2(code A_t) -
-    s_2(code R), as sum_p v_2(c_p!).  Carries only grow along a branch, and
-    the multinomial (sum c_p)! / prod c_p! is whole, so a branch stops once
-    they exceed the sum of v_2(e!) over K's runs of e equal k's.
+    The part indexes each entry A -> (d, bits, tag) of inner_s under the
+    number of (d, t ^ tag) for each set bit t of bits, as (s, code(A), its
+    binary digit sum), and lists each entry K = (k_1..k_r) of outer_r whose
+    every k_t has entries under it.  K gives each slot t an entry A_t
+    indexed under k_t, with sum |A_t| = n, and adds its output to R = A_1 u
+    .. u A_r once per set partition of R into boxes A_t read at bit k_t:
+    prod_b m_R(b)! / (prod_t prod_b m_{A_t}(b)! prod_p c_p!) times, c_p the
+    number of slots holding the pair p = (A_t, k_t).  Slots under equal k's
+    take nondecreasing candidate indices, so each multiset of pairs comes
+    once, with equal pairs adjacent.  R's fields hold at most n, so code(R)
+    = sum_t code(A_t) (see _Plan), and by Legendre (v_2(m!) = m - s_2(m),
+    s_2 the binary digit sum) the count is odd exactly when that sum has as
+    many carries, sum_t s_2(code A_t) - s_2(code R), as sum_p v_2(c_p!).
+    Carries only grow along a branch, and the multinomial (sum c_p)! / prod
+    c_p! is whole, so a branch stops once they exceed cap, the sum of
+    v_2(e!) over K's runs of e equal k's.
     """
-    outs = [(r, _at(outer, r)) for r in range(1, min(n, len(outer)) + 1) if _at(outer, r)]
-    ins = [(s, _at(inner, s)) for s in range(1, min(n, len(inner)) + 1) if _at(inner, s)]
-    if not outs or not ins:
-        return []
-    code, decode = _multisets((b for _, table in ins for key in table for b in key), n)
-    under: Dict[Basis, List[Tuple[int, int, int]]] = {}
-    for s, table in ins:  # by size, so each list is sorted by size
-        for key, (d, bits, tag) in table.items():
-            a = code(key)
-            for t in set_bits(bits):
-                under.setdefault((d, t ^ tag), []).append((s, a, a.bit_count()))
-    acc: Dict[int, int] = {}
-
     def walk(t: int, lo: int, rem: int, a: int, pa: int, carry: int, corr: int, run: int) -> None:
         pool, left, tied = pools[t], r - 1 - t, same[t]
         for j in range(lo if tied else 0, len(pool)):
@@ -388,17 +368,9 @@ def _grouped_entries(outer: Family, inner: Family, n: int) -> List[Tuple[Key, in
             elif cy == co:
                 acc[R] = acc.get(R, 0) ^ out
 
-    for r, table in outs:
-        for K, (_, out, _) in table.items():
-            pools = [under.get(k) for k in K]
-            if all(pools):
-                same = [0 < t and K[t] == K[t - 1] for t in range(r)]
-                cap = run = 0
-                for tied in same:
-                    run = run + 1 if tied else 1
-                    cap += (run & -run).bit_length() - 1
-                walk(0, 0, n, 0, 0, 0, 0, 0)
-    return [(decode(c), bits) for c, bits in acc.items() if bits]
+    for r, pools, same, cap, out in part:
+        if r <= n:
+            walk(0, 0, n, 0, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +445,167 @@ def _module_map(n: int, shift: int, alg: GradedSpace, cod: GradedSpace, mod: Gra
 
 
 # ---------------------------------------------------------------------------
+# kernel plans: each structure's tables encoded and indexed once
+# ---------------------------------------------------------------------------
+
+INSERTION, GROUPED = "insertion", "grouped"
+
+# a relation as the sums it adds up: (kernel, outer family, inner families),
+# the inner families read side by side at each arity
+Sum = Tuple[str, Family, Tuple[Family, ...]]
+
+
+def _sums(st) -> Tuple[Sum, ...]:
+    """The sums of st's defining relation (see the residuals below)."""
+    if isinstance(st, LinfAlgebra):
+        l = _family(st.ops)
+        return ((INSERTION, l, (l,)),)
+    if isinstance(st, LinfMorphism):
+        f = _family(st.comps)
+        return ((INSERTION, f, (_family(st.source.ops),)),
+                (GROUPED, _family(st.target.ops), (f,)))
+    if isinstance(st, LinfModule):
+        k = _family(st.ops)
+        return ((INSERTION, k, (_family(st.algebra.ops), k)),)
+    if isinstance(st, ModuleMorphism):
+        h = _family(st.comps)
+        return ((INSERTION, h, (_family(st.source.algebra.ops), _family(st.source.ops))),
+                (INSERTION, _family(st.target.ops), (h,)))
+    raise TypeError(f"no defining relation for {type(st).__name__}")
+
+
+def _numbering(tables: Iterable[Table]) -> List[Basis]:
+    """Every element some key of the tables holds, the L elements sorted
+    and then the M elements (index < 0, see the module docstring) sorted."""
+    return sorted({b for table in tables for key in table for b in key},
+                  key=lambda b: (b[1] < 0, b))
+
+
+def _encoded(table: Table, fields: Dict[Basis, int]) -> List[Tuple[int, Key, Tuple[int, int, int]]]:
+    """(code, key, value) for each entry of the table, code(key) the sum of
+    its elements' fields."""
+    return [(sum(map(fields.__getitem__, key)), key, value) for key, value in table.items()]
+
+
+def _insertion_part(outer: Family, inners: Tuple[Family, ...], coded, number, fields):
+    """The tables of one insertion sum as _insertion reads them: each
+    outer table's under index, and each inner arity's entries (from every
+    inner family) with the elements of their outputs that the index holds."""
+    unders = []
+    for table in outer:
+        under: Dict[int, List[Tuple[int, int]]] = {}
+        for c, key, (_, bits, _) in coded[id(table)]:
+            for p, e in enumerate(key):
+                if not p or key[p - 1] != e:
+                    under.setdefault(number[e], []).append((c - fields[e], bits))
+        unders.append(under)
+    reach = {e for under in unders for e in under}
+    ins = []
+    for i in range(1, max(map(len, inners)) + 1):
+        entries = []
+        for family in inners:
+            for a, _, (d, bits, tag) in coded.get(id(_at(family, i)), ()):
+                outs = tuple(e for t in set_bits(bits) if (e := number.get((d, t ^ tag))) in reach)
+                if outs:
+                    entries.append((a, outs))
+        ins.append(entries)
+    return tuple(ins), tuple(unders)
+
+
+def _grouped_part(outer: Family, inners: Tuple[Family, ...], coded, number):
+    """The tables of one grouped sum as _grouped_entries reads them: the
+    inner entries under each element of their outputs, by size, and each
+    outer entry with its slots' candidate lists, which slots repeat the
+    k before them, and its carry cap."""
+    under: Dict[int, List[Tuple[int, int, int]]] = {}
+    for s in range(1, max(map(len, inners)) + 1):  # by size, so each list is sorted by size
+        for family in inners:
+            for a, _, (d, bits, tag) in coded.get(id(_at(family, s)), ()):
+                for t in set_bits(bits):
+                    e = number.get((d, t ^ tag))
+                    if e is not None:
+                        under.setdefault(e, []).append((s, a, a.bit_count()))
+    part = []
+    for r, table in enumerate(outer, start=1):
+        for _, K, (_, out, _) in coded[id(table)]:
+            pools = [under.get(number[k]) for k in K]
+            if all(pools):
+                same = [0 < t and K[t] == K[t - 1] for t in range(r)]
+                cap = run = 0
+                for tied in same:
+                    run = run + 1 if tied else 1
+                    cap += (run & -run).bit_length() - 1
+                part.append((r, pools, same, cap, out))
+    return part
+
+
+class _Plan:
+    """The tables of a relation's sums, encoded and indexed for the
+    kernels once, for every arity up to ``top`` (see the module docstring).
+
+    Each element some key holds is numbered (_numbering) and gets a field
+    of ``width`` = top.bit_length() bits: code(A) holds m_A(b), the
+    multiplicity of b in the multiset A, in b's field.  So code(A) &
+    code(B) == 0 exactly when every m_A(b) & m_B(b) == 0, and then code(A
+    u B) = code(A) | code(B); and a sum of codes whose fields add up to at
+    most top is the code of the union.  ``elems`` gives back each field's
+    element for decode, M elements (numbered last) in the maps' own (d, i).
+    ``sums`` holds each sum's kernel and part (_insertion_part,
+    _grouped_part).  A plan holds numbers, tuples, lists and dicts only.
+    """
+
+    __slots__ = ("width", "elems", "sums")
+
+    def __init__(self, sums: Sequence[Sum], top: int):
+        self.width = width = top.bit_length()
+        tables = {id(t): t for _, outer, inners in sums for family in (outer, *inners)
+                  for t in family}
+        elems = _numbering(tables.values())
+        number = {b: k for k, b in enumerate(elems)}
+        fields = {b: 1 << (k * width) for k, b in enumerate(elems)}
+        coded = {i: _encoded(t, fields) for i, t in tables.items()}
+        self.elems = tuple((d, ~i) if i < 0 else (d, i) for d, i in elems)
+        self.sums = tuple(
+            (kernel, _insertion_part(outer, inners, coded, number, fields) if kernel == INSERTION
+             else _grouped_part(outer, inners, coded, number))
+            for kernel, outer, inners in sums)
+
+    def decode(self, c: int) -> Key:
+        """The sorted key of a code, its M element (if any) last."""
+        width, elems = self.width, self.elems
+        mask = (1 << width) - 1
+        out: List[Basis] = []
+        k = 0
+        while c:
+            m = c & mask
+            if m:
+                out += [elems[k]] * m
+            c >>= width
+            k += 1
+        return tuple(out)
+
+    def entries(self, n: int) -> List[Tuple[Key, int]]:
+        """The relation's arity-n residual as (key, bits) where it is nonzero."""
+        acc: Dict[int, int] = {}
+        for kernel, part in self.sums:
+            (_insertion if kernel == INSERTION else _grouped_entries)(self, part, n, acc)
+        decode = self.decode
+        return [(decode(c), bits) for c, bits in acc.items() if bits]
+
+
+def _plan(st) -> _Plan:
+    """st's kernel plan, built on its first residual and kept on st.  Its
+    fields are wide enough for every arity up to complete_bound(st); above
+    that bound no pair of entries adds up to the arity, so the kernels add
+    nothing at any width."""
+    plan = st._plan
+    if plan is None:
+        plan = _Plan(_sums(st), complete_bound(st))
+        object.__setattr__(st, "_plan", plan)
+    return plan
+
+
+# ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
 
@@ -485,8 +618,8 @@ def jacobi_residual(algebra: LinfAlgebra, n: int) -> SymMultiMap:
     """The arity-n Jacobi sum  sum_{i+j=n+1} sum_{sigma in S(i,n-i)}
     l_j(l_i(x_{sigma(1)}..x_{sigma(i)}), x_{sigma(i+1)}, ..)  as one map."""
     _check_arity(n)
-    space, l = algebra.space, _family(algebra.ops)
-    return SymMultiMap(n, n - 3, space, space, _insertion(l, l, n))
+    space = algebra.space
+    return SymMultiMap(n, n - 3, space, space, _plan(algebra).entries(n))
 
 
 def morphism_residual(mor: LinfMorphism, n: int) -> SymMultiMap:
@@ -495,20 +628,15 @@ def morphism_residual(mor: LinfMorphism, n: int) -> SymMultiMap:
     insertion sum and a grouped sum, both driven by stored entries, so the
     cost does not grow with the dimension of the source."""
     _check_arity(n)
-    space, f = mor.source.space, _family(mor.comps)
-    entries = (_insertion(f, _family(mor.source.ops), n)
-               + _grouped_entries(_family(mor.target.ops), f, n))
-    return SymMultiMap(n, n - 2, space, mor.target.space, entries)
+    return SymMultiMap(n, n - 2, mor.source.space, mor.target.space, _plan(mor).entries(n))
 
 
 def module_residual(module: LinfModule, n: int) -> SymMultiMap:
     """The module relation at arity n: the Jacobi sum on L x| M over inputs
     with exactly one module element, as one map (module slot last)."""
     _check_arity(n)
-    alg, mod = module.algebra.space, module.space
-    k = _family(module.ops)
-    entries = _insertion(k, _merged(_family(module.algebra.ops), k), n)
-    return _module_map(n, n - 3, alg, mod, mod, entries)
+    return SymMultiMap(n, n - 3, module.algebra.space, module.space, _plan(module).entries(n),
+                       last_space=module.space)
 
 
 def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
@@ -516,12 +644,8 @@ def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
     insertion sums h_j(l_i + k_i ..) + k'_j(.., h_i(..)): the morphism
     relation of id_L + h on one module input, id_L being strict."""
     _check_arity(n)
-    alg, mod = h.source.algebra.space, h.source.space
-    hf = _family(h.comps)
-    lk = _merged(_family(h.source.algebra.ops), _family(h.source.ops))
-    k = _family(h.target.ops)
-    entries = _insertion(hf, lk, n) + _insertion(k, hf, n)
-    return _module_map(n, n - 2, alg, h.target.space, mod, entries)
+    return SymMultiMap(n, n - 2, h.source.algebra.space, h.target.space, _plan(h).entries(n),
+                       last_space=h.source.space)
 
 
 def residual(structure, n: int) -> SymMultiMap:
@@ -597,10 +721,11 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     if alg != g.source.algebra:
         raise ValueError("compose requires morphisms over the same algebra")
     N = min(f.max_arity, g.max_arity)
-    space, mod = alg.space, f.source.space
-    G, F = _family(g.comps), _family(f.comps)
-    comps = {n: _module_map(n, n - 1, space, g.target.space, mod, _insertion(G, F, n))
-             for n in range(1, min(N, len(f.comps) + len(g.comps) - 1) + 1)}
+    top = min(N, len(f.comps) + len(g.comps) - 1)
+    plan = _Plan(((INSERTION, _family(g.comps), (_family(f.comps),)),), max(top, 1))
+    comps = {n: SymMultiMap(n, n - 1, alg.space, g.target.space, plan.entries(n),
+                            last_space=f.source.space)
+             for n in range(1, top + 1)}
     return ModuleMorphism.build(f.source, g.target, N, comps)
 
 

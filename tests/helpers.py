@@ -7,7 +7,7 @@ import itertools
 import random
 import textwrap
 
-from linfty.gfa import SymMultiMap
+from linfty.gfa import GradedSpace, SymMultiMap
 from linfty.structures import LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism
 
 KIND_OF = {LinfAlgebra: "jacobi", LinfMorphism: "morphism",
@@ -86,11 +86,36 @@ def stored_maps(st):
     return maps
 
 
+def with_parts(st):
+    """The structure and every structure it is built on."""
+    out = [st]
+    for part in ("algebra", "source", "target"):
+        if hasattr(st, part):
+            out += with_parts(getattr(st, part))
+    return out
+
+
 def untabled(structures):
-    """The structures, after checking that no nonzero map they store has a
-    kernel table yet: a mutant kernel must build its own tables, and a table
-    it builds must not outlive the test.  Zero maps are shared, but every
-    table builder gives them the same empty table."""
+    """The structures, after checking that none of them, or of the
+    structures they are built on, has a kernel plan yet, and that no
+    nonzero map they store has a kernel table yet: a mutant kernel must
+    build its own plans and tables, and what it builds must not outlive the
+    test.  Zero maps are shared, but every table builder gives them the
+    same empty table."""
     for st in structures:
+        assert all(part._plan is None for part in with_parts(st))
         assert all(m._kernel is None for m in stored_maps(st) if not m.is_zero)
     return structures
+
+
+def wide_arity_morphism():
+    """A morphism whose complete bound is 8, where its residual needs
+    4-bit fields: the one source element x in degree 0, f_4(x, x, x, x) =
+    y in degree 3 and l'_2(y, y) = z in degree 6.  At x^8, l'_2(f_4, f_4) counts the set
+    partitions of 8 inputs into two boxes of 4, C(8, 4) / 2 = 35 of them,
+    so the residual is z there; its key holds x 8 times."""
+    V, W = GradedSpace({0: 1}), GradedSpace({3: 1, 6: 1})
+    y = (3, 0)
+    target = LinfAlgebra.build(W, 8, {2: SymMultiMap(2, 0, W, W, [((y, y), 1)])})
+    return LinfMorphism.build(LinfAlgebra.build(V, 8, {}), target, 8, {
+        4: SymMultiMap(4, 3, V, W, [(((0, 0),) * 4, 1)])})

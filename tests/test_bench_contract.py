@@ -18,7 +18,8 @@ sys.path.insert(0, str(BENCH))
 import pytest  # noqa: E402
 
 import linfty.cli  # noqa: E402
-from linfty.gfa import SymMultiMap, zero_map  # noqa: E402
+from linfty import gfa  # noqa: E402
+from linfty.gfa import SymMultiMap  # noqa: E402
 from linfty.jsonio import parse_bundle  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
@@ -49,19 +50,19 @@ def test_one_pass_passes_every_check(name, tmp_path):
     pytest.param(name, 11, id=f"{name}-seed11") for name in ("verify-valid", "mutation-sweep")])
 def test_traced_pass_confirms_the_predicted_layer(name, seed, tmp_path, monkeypatch):
     # a change that moves time between layers fails the benchmark's traced
-    # run, so it fails here.  Layer self times from bench/run.py --trace 1
-    # at seeds 0-15 on a 2-vCPU VM: residual-dense is the workload a kernel
-    # change moves most (structures 0.022-0.039 s against gfa 0.004-0.010 s,
-    # 4.0-7.0x); restrict-chain has restrict's self time, which holds the
-    # unspanned pullback (run once per module and context, on the keys a
-    # stored entry can reach), at 0.024-0.051 s against jsonio
-    # 0.008-0.016 s (2.3-3.8x) and structures 0.006-0.011 s; verify-valid,
-    # whose kernel tables are built once per map, has a margin of only
-    # 1.26-1.77x (structures 0.006-0.012 s against jsonio 0.004-0.007 s)
-    # and 1.40-2.42x over cli (0.002-0.007 s); mutation-sweep, since the
-    # oracle skips summands holding a zero map, 1.38-2.08x (oracle
-    # 0.017-0.031 s against jsonio 0.009-0.018 s), so a slower parser can
-    # move either
+    # run, so it fails here.  Layer self times from bench/run.py --trace 1,
+    # two runs at each of seeds 0-15 on a 2-vCPU VM: residual-dense is the
+    # workload a kernel change moves most (structures 0.013-0.028 s against
+    # gfa 0.003-0.008 s, 3.1-5.0x); restrict-chain has restrict's self
+    # time, which holds the unspanned pullback (run once per module and
+    # context, on the keys a stored entry can reach), at 0.023-0.057 s
+    # against jsonio 0.007-0.017 s (2.3-5.1x) and structures
+    # 0.004-0.011 s; verify-valid, whose structures build one kernel plan
+    # each, has a margin of only 1.05-1.43x over the larger of jsonio
+    # (0.003-0.007 s) and cli (0.002-0.011 s), structures 0.004-0.014 s;
+    # mutation-sweep, since the oracle skips summands holding a zero map,
+    # 1.28-2.76x over the next layer (oracle 0.018-0.033 s against jsonio
+    # 0.007-0.018 s), so a slower parser can move either
     monkeypatch.setattr(run, "ROOT", tmp_path)
     monkeypatch.setattr(run, "OUT_DIR", tmp_path)
     # the benchmark traces in a fresh process; here the objects the suite
@@ -100,7 +101,7 @@ def test_verify_valid_parses_build_each_map_once(tmp_path, monkeypatch):
         built.append(None)
         init(self, *args, **kwargs)
 
-    zero_map.cache_clear()
+    gfa._zeros.clear()
     monkeypatch.setattr(SymMultiMap, "__init__", counted)
     for _ in range(20):
         for text in texts:

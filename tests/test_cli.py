@@ -5,7 +5,7 @@ import pytest
 from linfty import fixtures, structures
 from linfty.cli import _build_parser, main
 from linfty.gfa import GradedSpace, SymMultiMap
-from linfty.jsonio import KINDS, Bundle, parse_bundle, serialize_bundle
+from linfty.jsonio import KINDS, Bundle, digest, parse_bundle, serialize_bundle
 from linfty.restrict import classical_restriction
 from linfty.structures import LinfAlgebra, LinfModule, LinfMorphism
 
@@ -293,6 +293,20 @@ def test_restrict_command_matches_classical(fixture_dir, tmp_path):
     want.structures["adjoint_restricted"] = classical
     assert serialize_bundle(want, provenance=produced.provenance) == \
         serialize_bundle(produced, provenance=produced.provenance)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_restrict_digests_inputs_as_text_reads_them(fixture_dir, tmp_path, newline):
+    # CRLF and lone CR line ends read as LF, so the provenance digests do
+    # not depend on them
+    doc = json.loads((fixture_dir / "lie-corollary.json").read_text())
+    text = json.dumps(doc, indent=1) + "\n"
+    lie = tmp_path / "lie.json"
+    lie.write_bytes(text.replace("\n", newline).encode())
+    out_path = tmp_path / "out.json"
+    assert main(["restrict", "--morphism", str(lie), "--module", str(lie), "-o", str(out_path)]) == 0
+    inputs = parse_bundle(out_path.read_text()).provenance["inputs"]
+    assert inputs == {"morphism": digest(text), "module": digest(text)}
 
 
 def test_restrict_command_verifies_output(fixture_dir, tmp_path):

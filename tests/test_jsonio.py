@@ -218,3 +218,20 @@ def test_serialize_cost_follows_set_bits():
     elapsed = time.perf_counter() - start
     assert parse_bundle(text) == bundle
     assert elapsed < 0.25
+
+
+_ADJOINT = serialize_bundle(fixtures.build("heisenberg-adjoint")).rstrip("\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    # in the provenance, which the parser does not otherwise read
+    (_ADJOINT[:-1] + ',"provenance":{"a":1,"a":2}}', "a"),
+    # a repeated key is named before an unknown field or a JSON error that
+    # comes later in the text: every object is checked on reading
+    (_ADJOINT[:-1] + ',"provenance":{"c":1,"c":2},"extra":1}', "c"),
+    (_ADJOINT[:-1] + ',"provenance":{"d":1,"d":2},"e":[}', "d"),
+], ids=["provenance", "before-unknown-field", "before-json-error"])
+def test_parse_names_a_repeated_key_wherever_it_is(text, key):
+    with pytest.raises(FormatError, match=f"^duplicate key '{key}' in one object$"):
+        parse_bundle(text)
+

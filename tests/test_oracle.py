@@ -9,7 +9,7 @@ from linfty.oracle import LabeledOperator, lemma4_equal, lemma4_lhs, lemma4_rhs,
 from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
                                complete_bound, residual)
 from helpers import (KIND_OF, patch_mutant, random_algebra, random_map, random_modhom,
-                     random_module, random_morphism, untabled)
+                     random_module, random_morphism, untabled, wide_arity_morphism)
 
 
 def test_labeled_operator_validation():
@@ -141,6 +141,34 @@ def test_naive_residual_catches_an_untagged_embedding(monkeypatch, old, new):
                 outcomes["raised"] += 1
     assert outcomes[False] and outcomes[True]
 
+
+
+@pytest.mark.parametrize("name, edits", [
+    # a split counted only when A and B share no element: misses e.g. x
+    # inserted into (x, x), C(3, 1) = 3 splits
+    ("_insertion", (("if not a & b:", "if not set(plan.decode(a)) & set(plan.decode(b)):"),)),
+    # every summand counted once, with no parity test
+    ("_insertion", (("if not a & b:", "if True:"), ("c = a | b", "c = a + b"))),
+    # a numbering without the elements that open a key
+    ("_numbering", (("for b in key}", "for b in key[1:]}"),)),
+    # fields one bit too narrow for the complete bound 8 (7 needs 3 bits)
+    ("_plan", (("_Plan(_sums(st), complete_bound(st))", "_Plan(_sums(st), complete_bound(st) - 1)"),)),
+], ids=["disjoint-keys-only", "every-summand", "numbering-misses-elements", "narrow-fields"])
+def test_naive_residual_catches_kernel_plan_mutants(monkeypatch, name, edits):
+    # each mutant makes residual differ from naive_residual, or raise, on
+    # the seeded structures or at n = 8 on a morphism whose complete bound
+    # is 8.  The structures are new, so every plan is the mutant's, and it
+    # dies with them
+    patch_mutant(monkeypatch, structures, name, *edits)
+    wide = wide_arity_morphism()
+    cases = [(st, n) for st in untabled(_seeded_structures() + (wide,)) for n in range(1, 6)]
+    outcomes = Counter()
+    for st, n in cases + [(wide, 8)]:
+        try:
+            outcomes[naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)] += 1
+        except (KeyError, IndexError, ValueError):  # an element without a field, a bad key
+            outcomes["raised"] += 1
+    assert outcomes[False] or outcomes["raised"]
 
 def _gapped_map(rng, arity, shift, sym, cod, last=None):
     """A random map with a nonzero value, so zero maps fall only at the

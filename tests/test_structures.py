@@ -1,4 +1,6 @@
 import itertools
+import json
+import pickle
 import random
 import time
 import tracemalloc
@@ -22,17 +24,19 @@ from linfty.structures import (
     module_residual,
     morphism_residual,
     residual,
+    GROUPED,
+    INSERTION,
+    _Plan,
     _family,
     _grouped,
-    _grouped_entries,
-    _insertion,
     _splits,
     _values_eval,
 )
-from linfty.jsonio import serialize_bundle
+from linfty.cli import main
+from linfty.jsonio import parse_bundle, serialize_bundle
 from linfty.oracle import naive_residual
 from helpers import (patch_mutant, random_algebra, random_modhom, random_module, random_morphism,
-                     set_partitions, stored_maps, untabled)
+                     set_partitions, stored_maps, untabled, wide_arity_morphism)
 
 V2 = GradedSpace({0: 2, 1: 2})
 W2 = GradedSpace({0: 2, -1: 1})
@@ -510,24 +514,42 @@ def _counted_tables(monkeypatch):
 
 def test_first_failure_builds_each_table_once(monkeypatch):
     # every fixture structure is valid, so first_failure computes every
-    # arity up to its complete bound, each reading the same maps again
+    # arity up to its complete bound, each reading the same maps again:
+    # each map's table is built once, and each structure's plan encodes
+    # each table of its relation once
     built = _counted_tables(monkeypatch)
+    encoded = []
+    encode = structures._encoded
+
+    def counted(table, fields):
+        encoded.append(table)  # holding the table keeps its id from being reused
+        return encode(table, fields)
+
+    monkeypatch.setattr(structures, "_encoded", counted)
     sts = [st for name in fixtures.FIXTURES for st in fixtures.build(name).structures.values()]
     for st in sts:
+        start = len(encoded)
         assert first_failure(st, complete_bound(st)) is None
+        per_structure = Counter(map(id, encoded[start:]))
+        assert set(per_structure.values()) <= {1}
+        assert set(per_structure) == {id(table) for _, outer, inners in structures._sums(st)
+                                      for family in (outer, *inners) for table in family}
     assert max(complete_bound(st) for st in sts) >= 3
     counts = Counter(map(id, built))
     assert set(counts.values()) == {1}
     own = [m for st in sts for m in getattr(st, "ops", ()) + getattr(st, "comps", ())
            if not m.is_zero]
     assert own and {id(m) for m in own} <= set(counts)
-    for st in sts:  # again: every table is kept
+    done = len(encoded)
+    for st in sts:  # again: every table and plan is kept
         first_failure(st, complete_bound(st))
-    assert len(built) == len(counts)
+    assert len(built) == len(counts) and len(encoded) == done
 
 
 def test_kernel_table_is_no_part_of_the_value():
-    # the same bundle built twice, its tables built on one copy only
+    # the same bundle built twice, its tables and plans built on one copy
+    # only; they hold plain data, so a structure that has them pickles, and
+    # the copy equals the structure that never had them
     used, fresh = fixtures.build("functoriality-chain"), fixtures.build("functoriality-chain")
     text = serialize_bundle(fresh)
     for st in used.structures.values():
@@ -540,8 +562,17 @@ def test_kernel_table_is_no_part_of_the_value():
     for m, f in pairs:
         assert m == f and hash(m) == hash(f) and repr(m) == repr(f)
         assert m.entries() == f.entries()
+    for name, st in used.structures.items():
+        twin = fresh.structures[name]
+        assert st._plan is not None and twin._plan is None
+        assert st == twin and hash(st) == hash(twin) and repr(st) == repr(twin)
     assert used.structures == fresh.structures
     assert serialize_bundle(used) == serialize_bundle(fresh) == text
+    copied = pickle.loads(pickle.dumps(used.structures))
+    assert copied == fresh.structures
+    for name, st in copied.items():
+        assert all(residual(st, n) == residual(fresh.structures[name], n)
+                   for n in range(1, complete_bound(st) + 1))
 
 
 def test_new_maps_build_their_own_tables():
@@ -559,6 +590,82 @@ def test_new_maps_build_their_own_tables():
 
 
 # ---------------------------------------------------------------------------
+# kernel plans
+# ---------------------------------------------------------------------------
+
+def test_rebuilt_structure_starts_without_a_plan():
+    adjoint = _adjoint()
+    assert module_residual(adjoint, 3).is_zero and adjoint._plan is not None
+    again = LinfModule.build(adjoint.algebra, adjoint.space, adjoint.max_arity,
+                             dict(enumerate(adjoint.ops, start=1)))
+    assert again == adjoint and again._plan is None
+    assert module_residual(again, 3) == module_residual(adjoint, 3)
+    assert again._plan is not adjoint._plan
+
+
+def test_plan_is_as_wide_as_the_complete_bound():
+    # the plan is built once, its fields as wide as the complete bound (8
+    # here) needs, and every arity reads it: n <= 7, then the bound itself,
+    # whose residual holds x eight times (4-bit fields, where 7 would give
+    # 3), then n = 9, above the bound, where no entries' arities add up
+    mor, fresh = wide_arity_morphism(), wide_arity_morphism()
+    assert complete_bound(mor) == 8
+    assert all(morphism_residual(mor, n).is_zero for n in range(1, 8))
+    plan = mor._plan
+    assert plan.width == 4
+    got = morphism_residual(mor, 8)
+    assert got == morphism_residual(fresh, 8) == naive_residual(fresh, "morphism", 8)
+    assert not got.is_zero and set(got.witness()[0]) == {(0, 0)}
+    assert morphism_residual(mor, 9) == naive_residual(fresh, "morphism", 9)
+    assert morphism_residual(mor, 9).is_zero and mor._plan is plan
+    assert first_failure(wide_arity_morphism(), 9)[0] == 8
+
+
+def test_plan_numbers_held_elements_not_the_basis():
+    # at dimension 10 and 160 each plan numbers the same elements: those
+    # the keys of the tables it reads hold, L's sorted and then M's, which
+    # the tables key (d, ~i) and the plan gives back as (d, i)
+    numbered, modules = {}, 0
+    for D in (10, 160):
+        for name, st in _embedded("functoriality-chain", D).structures.items():
+            first_failure(st, 6)
+            held = {b for _, outer, inners in structures._sums(st)
+                    for family in (outer, *inners) for table in family for key in table for b in key}
+            ms = sorted(b for b in held if b[1] < 0)
+            assert st._plan.elems == tuple(sorted(held - set(ms))) + tuple((d, ~i) for d, i in ms)
+            numbered.setdefault(name, set()).add(st._plan.elems)
+            modules += len(ms)
+    assert modules and all(len(elems) == 1 for elems in numbered.values())
+
+
+def _embedded(name: str, D: int):
+    """The fixture bundle with D basis elements in the lowest degree of each
+    space: the new elements are in no stored key or output, so every
+    relation holds as before, and only the dimension has grown."""
+    doc = json.loads(serialize_bundle(fixtures.build(name)))
+    for space in doc["spaces"].values():
+        low = min(space["dims"], key=int)
+        space["dims"][low] = max(space["dims"][low], D)
+    return parse_bundle(json.dumps(doc))
+
+
+def test_first_failure_and_verify_cost_follow_stored_entries(tmp_path, capsys):
+    # every fixture structure, its spaces grown to dimension 10, 40 and 160
+    # in one degree, through first_failure and through verify at one fixed
+    # bound: the work follows the handful of stored entries
+    start = time.perf_counter()
+    for D in (10, 40, 160):
+        for name in sorted(fixtures.FIXTURES):
+            bundle = _embedded(name, D)
+            assert all(first_failure(st, 6) is None for st in bundle.structures.values())
+            path = tmp_path / f"{name}-{D}.json"
+            path.write_text(serialize_bundle(bundle))
+            assert main(["verify", str(path), "--max-arity", "6"]) == 0
+    assert capsys.readouterr().err == ""
+    assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
 # residual plumbing
 # ---------------------------------------------------------------------------
 
@@ -571,6 +678,11 @@ def test_residuals_reject_arity_below_one(n):
             with pytest.raises(ValueError, match="arity must be >= 1"):
                 residual(st, n)
     assert kinds == {LinfAlgebra, LinfMorphism, LinfModule, ModuleMorphism}
+
+
+def _summed(kernel, outer, inner, n):
+    """One sum of the kernel, outer over inner, at arity n, as {key: bits}."""
+    return dict(_Plan(((kernel, outer, (inner,)),), n).entries(n))
 
 
 def test_insertion_parity_matches_split_counting():
@@ -589,7 +701,7 @@ def test_insertion_parity_matches_split_counting():
                     inner = tuple({A: (5, 1, tag)} if k == i else {} for k in range(1, n + 1))
                     outer = tuple({tuple(sorted(B + (e,))): (0, 1, 0)} if k == n + 1 - i else {}
                                   for k in range(1, n + 1))
-                    assert dict(_insertion(outer, inner, n)) == ({R: 1} if count % 2 else {})
+                    assert _summed(INSERTION, outer, inner, n) == ({R: 1} if count % 2 else {})
 
 
 def test_grouped_parity_matches_set_partition_counting():
@@ -628,7 +740,7 @@ def test_grouped_parity_matches_set_partition_counting():
                                 if len(boxes) == len(K) and all(box in reads for box in boxes))
                             if count % 2:
                                 expected[R] = 1
-                        assert dict(_grouped_entries(outer, inner, n)) == expected
+                        assert _summed(GROUPED, outer, inner, n) == expected
                         odd += bool(expected)
                         equal_pairs += len(set(shape)) < len(shape) and len(set(K)) < len(K)
     assert odd and equal_pairs
@@ -654,7 +766,7 @@ def _grouped_agrees(mor, n):
     """Whether the entry-driven grouped sum equals the key walk, bit for bit."""
     l, f = _family(mor.target.ops), _family(mor.comps)
     keys = itertools.combinations_with_replacement(mor.source.space.basis(), n)
-    return sorted(structures._grouped_entries(l, f, n)) == sorted(_grouped(l, f, n, keys))
+    return _summed(GROUPED, l, f, n) == dict(_grouped(l, f, n, keys))
 
 
 def test_grouped_entries_matches_the_key_walk_and_the_oracle():
@@ -663,7 +775,7 @@ def test_grouped_entries_matches_the_key_walk_and_the_oracle():
         l, f = _family(mor.target.ops), _family(mor.comps)
         for n in range(1, 8):
             assert _grouped_agrees(mor, n)
-            nonzero += bool(_grouped_entries(l, f, n))
+            nonzero += bool(_summed(GROUPED, l, f, n))
         for n in range(1, 5):
             assert morphism_residual(mor, n) == naive_residual(mor, "morphism", n)
     assert nonzero > 10
