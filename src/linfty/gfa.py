@@ -135,7 +135,9 @@ class SymMultiMap:
 
     A map never changes once built.  ``_kernel`` holds the table that the
     relation kernels of ``structures`` read, built there on first use and
-    kept; it is no part of the map's value.
+    kept; it is no part of the map's value.  The maps those kernels build
+    skip the constructor's checks (``_of_table``), which their keys pass by
+    construction (``structures._Plan.map``).
     """
 
     __slots__ = ("arity", "shift", "sym_space", "last_space", "codomain", "_table", "_kernel")
@@ -189,6 +191,18 @@ class SymMultiMap:
             else:
                 table.pop(key, None)
         self._table = table
+
+    @classmethod
+    def _of_table(cls, arity: int, shift: int, sym_space: GradedSpace, codomain: GradedSpace,
+                  table: Dict[Key, int], last_space: Optional[GradedSpace] = None
+                  ) -> "SymMultiMap":
+        """The map on ``table`` unchecked: canonical keys in the slots'
+        spaces, nonzero bits in the codomain, by its builder's guarantee."""
+        m = cls.__new__(cls)
+        m.arity, m.shift, m.sym_space, m.last_space, m.codomain = (
+            arity, shift, sym_space, last_space, codomain)
+        m._table, m._kernel = table, None
+        return m
 
     # -- structure -----------------------------------------------------------
 

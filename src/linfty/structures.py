@@ -58,13 +58,13 @@ table's codes and output elements; each outer table's index under
 the elements its keys hold; the l + k family of a module or module
 morphism, read side by side; and a morphism's grouped-sum inner index.  So
 each table is encoded and indexed once per structure, and each residual
-and first_failure arity runs only the pair loop and the decode, which
-gives back the map's own keys, M's element last as (d, i).  Nothing in a
-structure or its maps changes once built, so its plan never goes stale; a
-structure built anew (parsed, built from maps, restricted or composed)
-starts without one, so building one costs no encoding.  compose builds
-one plan per call.  Like the tables, the plan is plain data outside the
-structure's value: equality, hashing, repr and serialization skip it.
+and first_failure arity runs only the pair loop and _Plan.map, whose keys
+need no check by the map constructor.  Nothing in a structure or its maps
+changes once built, so its plan never goes stale; a structure built anew
+(parsed, built from maps, restricted or composed) starts without one, so
+building one costs no encoding.  compose builds one plan per call.  Like
+the tables, the plan is plain data outside the structure's value:
+equality, hashing, repr and serialization skip it.
 
 A structure stores its maps only up to its highest nonzero arity; max_arity
 is the truncation number alone.  Every loop over arities runs to the stored
@@ -435,13 +435,14 @@ def _one_module_keys(alg: Sequence[Basis], ms: Sequence[Basis], n: int) -> Itera
 def _module_map(n: int, shift: int, alg: GradedSpace, cod: GradedSpace, mod: GradedSpace,
                 entries: Iterable[Tuple[Key, int]]) -> SymMultiMap:
     """The module-slot-last map of one-M semidirect entries: keys over
-    alg x| mod, output bits as stored."""
+    alg x| mod, output bits as stored, taken unchecked: the entries have
+    distinct canonical keys of _one_module_keys and nonzero bits."""
 
     def back(key: Key) -> Key:
         pos = next(p for p, (_, i) in enumerate(key) if i < 0)
         return key[:pos] + key[pos + 1:] + ((key[pos][0], ~key[pos][1]),)
 
-    return SymMultiMap(n, shift, alg, cod, [(back(k), b) for k, b in entries], last_space=mod)
+    return SymMultiMap._of_table(n, shift, alg, cod, {back(k): b for k, b in entries}, mod)
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +585,19 @@ class _Plan:
             k += 1
         return tuple(out)
 
-    def entries(self, n: int) -> List[Tuple[Key, int]]:
-        """The relation's arity-n residual as (key, bits) where it is nonzero."""
+    def map(self, n: int, shift: int, sym: GradedSpace, cod: GradedSpace,
+            last: Optional[GradedSpace] = None) -> SymMultiMap:
+        """The arity-n residual as a map of this signature, unchecked
+        (SymMultiMap._of_table): decoded in field order, keys are canonical
+        (_numbering); elements come from stored keys over the same spaces,
+        outputs are xors of stored outputs of one codomain and degree;
+        zeros are left out, and distinct codes give distinct keys."""
         acc: Dict[int, int] = {}
         for kernel, part in self.sums:
             (_insertion if kernel == INSERTION else _grouped_entries)(self, part, n, acc)
         decode = self.decode
-        return [(decode(c), bits) for c, bits in acc.items() if bits]
+        return SymMultiMap._of_table(n, shift, sym, cod,
+                                     {decode(c): bits for c, bits in acc.items() if bits}, last)
 
 
 def _plan(st) -> _Plan:
@@ -619,7 +626,7 @@ def jacobi_residual(algebra: LinfAlgebra, n: int) -> SymMultiMap:
     l_j(l_i(x_{sigma(1)}..x_{sigma(i)}), x_{sigma(i+1)}, ..)  as one map."""
     _check_arity(n)
     space = algebra.space
-    return SymMultiMap(n, n - 3, space, space, _plan(algebra).entries(n))
+    return _plan(algebra).map(n, n - 3, space, space)
 
 
 def morphism_residual(mor: LinfMorphism, n: int) -> SymMultiMap:
@@ -628,15 +635,14 @@ def morphism_residual(mor: LinfMorphism, n: int) -> SymMultiMap:
     insertion sum and a grouped sum, both driven by stored entries, so the
     cost does not grow with the dimension of the source."""
     _check_arity(n)
-    return SymMultiMap(n, n - 2, mor.source.space, mor.target.space, _plan(mor).entries(n))
+    return _plan(mor).map(n, n - 2, mor.source.space, mor.target.space)
 
 
 def module_residual(module: LinfModule, n: int) -> SymMultiMap:
     """The module relation at arity n: the Jacobi sum on L x| M over inputs
     with exactly one module element, as one map (module slot last)."""
     _check_arity(n)
-    return SymMultiMap(n, n - 3, module.algebra.space, module.space, _plan(module).entries(n),
-                       last_space=module.space)
+    return _plan(module).map(n, n - 3, module.algebra.space, module.space, module.space)
 
 
 def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
@@ -644,8 +650,7 @@ def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
     insertion sums h_j(l_i + k_i ..) + k'_j(.., h_i(..)): the morphism
     relation of id_L + h on one module input, id_L being strict."""
     _check_arity(n)
-    return SymMultiMap(n, n - 2, h.source.algebra.space, h.target.space, _plan(h).entries(n),
-                       last_space=h.source.space)
+    return _plan(h).map(n, n - 2, h.source.algebra.space, h.target.space, h.source.space)
 
 
 def residual(structure, n: int) -> SymMultiMap:
@@ -723,8 +728,7 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     N = min(f.max_arity, g.max_arity)
     top = min(N, len(f.comps) + len(g.comps) - 1)
     plan = _Plan(((INSERTION, _family(g.comps), (_family(f.comps),)),), max(top, 1))
-    comps = {n: SymMultiMap(n, n - 1, alg.space, g.target.space, plan.entries(n),
-                            last_space=f.source.space)
+    comps = {n: plan.map(n, n - 1, alg.space, g.target.space, f.source.space)
              for n in range(1, top + 1)}
     return ModuleMorphism.build(f.source, g.target, N, comps)
 

@@ -8,7 +8,8 @@ import random
 import textwrap
 
 from linfty.gfa import GradedSpace, SymMultiMap
-from linfty.structures import LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism
+from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
+                               complete_bound, compose, pullback, residual)
 
 KIND_OF = {LinfAlgebra: "jacobi", LinfMorphism: "morphism",
            LinfModule: "module", ModuleMorphism: "module_morphism"}
@@ -119,3 +120,70 @@ def wide_arity_morphism():
     target = LinfAlgebra.build(W, 8, {2: SymMultiMap(2, 0, W, W, [((y, y), 1)])})
     return LinfMorphism.build(LinfAlgebra.build(V, 8, {}), target, 8, {
         4: SymMultiMap(4, 3, V, W, [(((0, 0),) * 4, 1)])})
+
+
+def seeded_structures():
+    """One random structure of each kind at seed 42, then at seed 3."""
+    # a module space sharing the algebra's 2-dimensional degree, and a module
+    # morphism into a module on the algebra's own space
+    rng = random.Random(42)
+    V = GradedSpace({0: 2, 1: 1})
+    W = GradedSpace({0: 1, 1: 1})
+    alg = random_algebra(rng, V, 4)
+    mor = random_morphism(rng, alg, random_algebra(rng, W, 4), 4)
+    mod = random_module(rng, alg, W, 4)
+    hom = random_modhom(rng, mod, random_module(rng, alg, V, 4), 4)
+    shared = (alg, mor, mod, hom)
+    # module spaces with degrees the algebra lacks (-2, 2) and lacking some
+    # of its degrees (-1, 1), a module morphism between different module
+    # spaces, and operations up to arity 4 checked up to arity 5; this seed
+    # gives nonzero residuals of every kind at arities 3 to 5
+    rng = random.Random(3)
+    V = GradedSpace({-1: 1, 0: 1, 1: 1})
+    W = GradedSpace({-2: 1, 0: 1})
+    U = GradedSpace({-1: 1, 2: 1})
+    alg = random_algebra(rng, V, 5, up_to=4)
+    mor = random_morphism(rng, alg, random_algebra(rng, GradedSpace({-1: 1, 0: 2}), 5, up_to=4), 5,
+                          up_to=4)
+    mod = random_module(rng, alg, W, 5, up_to=4)
+    hom = random_modhom(rng, mod, random_module(rng, alg, U, 5, up_to=4), 5, up_to=4)
+    gapped = (alg, mor, mod, hom)
+    return shared + gapped
+
+
+def kernel_made_maps(group):
+    """Every map the kernels build from a group of structures, as it comes
+    back: each residual up to its structure's complete bound, compose of
+    every composable pair of module morphisms, and the pullback of every
+    module and module morphism along every morphism into its algebra."""
+    maps = [residual(st, n) for st in group for n in range(1, complete_bound(st) + 1)]
+    homs = [st for st in group if isinstance(st, ModuleMorphism)]
+    maps += [m for g, f in itertools.product(homs, repeat=2) if f.target == g.source
+             for m in compose(g, f).comps]
+    for mor in (st for st in group if isinstance(st, LinfMorphism)):
+        for st in group:
+            if isinstance(st, LinfModule) and st.algebra == mor.target:
+                maps += pullback(mor, st.ops, st.max_arity).values()
+            elif isinstance(st, ModuleMorphism) and st.source.algebra == mor.target:
+                maps += pullback(mor, st.comps, st.max_arity).values()
+    return maps
+
+
+def rechecked(m):
+    """m rebuilt from its entries by the constructor, which canonicalizes
+    and checks every key."""
+    return SymMultiMap(m.arity, m.shift, m.sym_space, m.codomain, m.entries(),
+                       last_space=m.last_space)
+
+
+def unchecked_faults(maps):
+    """The maps that differ from their rebuilt selves, or whose entries the
+    constructor rejects."""
+    faults = []
+    for m in maps:
+        try:
+            if m != rechecked(m):
+                faults.append(m)
+        except ValueError:
+            faults.append(m)
+    return faults

@@ -8,8 +8,9 @@ from linfty.gfa import GradedSpace, flip_bit
 from linfty.oracle import LabeledOperator, lemma4_equal, lemma4_lhs, lemma4_rhs, naive_residual
 from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
                                complete_bound, residual)
-from helpers import (KIND_OF, patch_mutant, random_algebra, random_map, random_modhom,
-                     random_module, random_morphism, untabled, wide_arity_morphism)
+from helpers import (KIND_OF, kernel_made_maps, patch_mutant, random_algebra, random_map,
+                     random_modhom, random_module, random_morphism, seeded_structures,
+                     unchecked_faults, untabled, wide_arity_morphism)
 
 
 def test_labeled_operator_validation():
@@ -63,37 +64,8 @@ def test_lemma4_rejects_small_n():
         lemma4_lhs(1)
 
 
-def _seeded_structures():
-    """One random structure of each kind at seed 42, then at seed 3."""
-    # a module space sharing the algebra's 2-dimensional degree, and a module
-    # morphism into a module on the algebra's own space
-    rng = random.Random(42)
-    V = GradedSpace({0: 2, 1: 1})
-    W = GradedSpace({0: 1, 1: 1})
-    alg = random_algebra(rng, V, 4)
-    mor = random_morphism(rng, alg, random_algebra(rng, W, 4), 4)
-    mod = random_module(rng, alg, W, 4)
-    hom = random_modhom(rng, mod, random_module(rng, alg, V, 4), 4)
-    shared = (alg, mor, mod, hom)
-    # module spaces with degrees the algebra lacks (-2, 2) and lacking some
-    # of its degrees (-1, 1), a module morphism between different module
-    # spaces, and operations up to arity 4 checked up to arity 5; this seed
-    # gives nonzero residuals of every kind at arities 3 to 5
-    rng = random.Random(3)
-    V = GradedSpace({-1: 1, 0: 1, 1: 1})
-    W = GradedSpace({-2: 1, 0: 1})
-    U = GradedSpace({-1: 1, 2: 1})
-    alg = random_algebra(rng, V, 5, up_to=4)
-    mor = random_morphism(rng, alg, random_algebra(rng, GradedSpace({-1: 1, 0: 2}), 5, up_to=4), 5,
-                          up_to=4)
-    mod = random_module(rng, alg, W, 5, up_to=4)
-    hom = random_modhom(rng, mod, random_module(rng, alg, U, 5, up_to=4), 5, up_to=4)
-    gapped = (alg, mor, mod, hom)
-    return shared + gapped
-
-
 def test_naive_residual_matches_optimized_on_random_structures():
-    for st in _seeded_structures():
+    for st in seeded_structures():
         for n in range(1, 6):
             assert naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)
 
@@ -112,7 +84,7 @@ def test_naive_residual_catches_a_dropped_slot_rotation(monkeypatch):
     # the rotation left out it lands in an algebra slot, and every random
     # module and module morphism must expose that
     monkeypatch.setattr(oracle, "_rotation", lambda n, p: tuple(range(n - p + 1)))
-    modules = [st for st in _seeded_structures()
+    modules = [st for st in seeded_structures()
                if isinstance(st, (LinfModule, ModuleMorphism))]
     assert len(modules) == 4
     for st in modules:
@@ -133,7 +105,7 @@ def test_naive_residual_catches_an_untagged_embedding(monkeypatch, old, new):
     # so every table is the mutant's, and it dies with them
     patch_mutant(monkeypatch, structures, "_kernel_table", (old, new))
     outcomes = Counter()
-    for st in untabled(_seeded_structures()):
+    for st in untabled(seeded_structures()):
         for n in range(1, 6):
             try:
                 outcomes[naive_residual(st, KIND_OF[type(st)], n) == residual(st, n)] += 1
@@ -161,7 +133,7 @@ def test_naive_residual_catches_kernel_plan_mutants(monkeypatch, name, edits):
     # dies with them
     patch_mutant(monkeypatch, structures, name, *edits)
     wide = wide_arity_morphism()
-    cases = [(st, n) for st in untabled(_seeded_structures() + (wide,)) for n in range(1, 6)]
+    cases = [(st, n) for st in untabled(seeded_structures() + (wide,)) for n in range(1, 6)]
     outcomes = Counter()
     for st, n in cases + [(wide, 8)]:
         try:
@@ -169,6 +141,28 @@ def test_naive_residual_catches_kernel_plan_mutants(monkeypatch, name, edits):
         except (KeyError, IndexError, ValueError):  # an element without a field, a bad key
             outcomes["raised"] += 1
     assert outcomes[False] or outcomes["raised"]
+
+
+@pytest.mark.parametrize("name, edit, differential", [
+    # M's elements numbered before L's, so a decoded key opens with its
+    # module element, where the constructor would keep it last
+    ("_numbering", ("key=lambda b: (b[1] < 0, b)", "key=lambda b: (b[1] >= 0, b)"), True),
+    # the keys whose summands cancel kept with zero outputs
+    ("_Plan", ("for c, bits in acc.items() if bits}", "for c, bits in acc.items()}"), False),
+], ids=["module-element-first", "zero-outputs-kept"])
+def test_unchecked_map_mutants_fail_the_guard(monkeypatch, name, edit, differential):
+    # the kernels' maps skip the constructor's checks: each mutant builds
+    # maps the constructor would rebuild differently or reject, on the
+    # fixtures and the seeded structures, and one whose keys are not
+    # canonical also differs from naive_residual.  The structures are new,
+    # so every plan is the mutant's
+    patch_mutant(monkeypatch, structures, name, edit)
+    groups = [list(fixtures.build(fixture).structures.values()) for fixture in fixtures.FIXTURES]
+    assert any(unchecked_faults(kernel_made_maps(untabled(group)))
+               for group in groups + [seeded_structures()])
+    if differential:
+        assert not all(_agrees(st, n) for st in untabled(seeded_structures()) for n in range(1, 6))
+
 
 def _gapped_map(rng, arity, shift, sym, cod, last=None):
     """A random map with a nonzero value, so zero maps fall only at the

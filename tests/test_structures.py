@@ -7,6 +7,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from linfty import fixtures, structures
 from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit
@@ -35,8 +37,10 @@ from linfty.structures import (
 from linfty.cli import main
 from linfty.jsonio import parse_bundle, serialize_bundle
 from linfty.oracle import naive_residual
-from helpers import (patch_mutant, random_algebra, random_modhom, random_module, random_morphism,
-                     set_partitions, stored_maps, untabled, wide_arity_morphism)
+from helpers import (KIND_OF, kernel_made_maps, patch_mutant, random_algebra, random_modhom,
+                     random_module, random_morphism, rechecked, seeded_structures,
+                     set_partitions, stored_maps, unchecked_faults, untabled,
+                     wide_arity_morphism)
 
 V2 = GradedSpace({0: 2, 1: 2})
 W2 = GradedSpace({0: 2, -1: 1})
@@ -562,6 +566,13 @@ def test_kernel_table_is_no_part_of_the_value():
     for m, f in pairs:
         assert m == f and hash(m) == hash(f) and repr(m) == repr(f)
         assert m.entries() == f.entries()
+    # so are the residuals the plans built, next to the constructor's maps
+    for st in used.structures.values():
+        for n in range(1, complete_bound(st) + 1):
+            made = residual(st, n)
+            checked = rechecked(made)
+            assert made == checked and hash(made) == hash(checked) and repr(made) == repr(checked)
+            assert made._kernel is None and pickle.loads(pickle.dumps(made)) == checked
     for name, st in used.structures.items():
         twin = fresh.structures[name]
         assert st._plan is not None and twin._plan is None
@@ -575,7 +586,7 @@ def test_kernel_table_is_no_part_of_the_value():
                    for n in range(1, complete_bound(st) + 1))
 
 
-def test_new_maps_build_their_own_tables():
+def test_new_maps_build_their_own_tables(monkeypatch):
     alg = _heisenberg()
     l2 = alg.op(2)
     assert jacobi_residual(alg, 3).is_zero and l2._kernel
@@ -587,11 +598,52 @@ def test_new_maps_build_their_own_tables():
         assert not jacobi_residual(mutated, 3).is_zero
         assert new._kernel == {**before, key: (0, 1, 0)}
         assert l2._kernel == before
+    # a residual and a composite the plans built are values like the
+    # constructor's maps; a sum with a parsed map and a flipped bit come
+    # back through the constructor, with no table
+    t = parse_bundle(serialize_bundle(fixtures.build("functoriality-chain"))).structures["t"]
+    made = (jacobi_residual(mutated, 3), compose(t, t).comp(1))
+    for m in made:
+        checked = rechecked(m)
+        assert not m.is_zero and m._kernel is None
+        assert m == checked and hash(m) == hash(checked) and repr(m) == repr(checked)
+        copied = pickle.loads(pickle.dumps(m))
+        assert copied == checked and copied._kernel is None
+    r, tt1 = made
+    key = r.witness()[0]
+    inits = []
+    init = SymMultiMap.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SymMultiMap, "__init__", counted)
+    flipped, summed = flip_bit(r, key[::-1], 0), tt1 + t.comp(1)
+    assert len(inits) == 2
+    assert flipped._kernel is None and summed._kernel is None
+    assert (flipped + r).entries() == ((key, 1),)
+    assert summed.is_zero and summed == tt1 + tt1
 
 
 # ---------------------------------------------------------------------------
 # kernel plans
 # ---------------------------------------------------------------------------
+
+def test_kernel_made_maps_are_canonical():
+    # the maps the kernels build skip the constructor's checks; each equals,
+    # table for table, the map the constructor builds of its entries, and
+    # gets its kernel table only when a kernel reads it
+    groups = [list(fixtures.build(name).structures.values()) for name in fixtures.FIXTURES]
+    maps = [m for group in groups + [seeded_structures()] for m in kernel_made_maps(group)]
+    assert all(m._kernel is None for m in maps)
+    assert unchecked_faults(maps) == []
+    for m in maps:
+        _family((m,))
+        assert m._kernel == structures._kernel_table(rechecked(m))
+    assert any(not m.is_zero and m.last_space is not None for m in maps)
+    assert any(not m.is_zero and m.last_space is None for m in maps)
+
 
 def test_rebuilt_structure_starts_without_a_plan():
     adjoint = _adjoint()
@@ -681,8 +733,9 @@ def test_residuals_reject_arity_below_one(n):
 
 
 def _summed(kernel, outer, inner, n):
-    """One sum of the kernel, outer over inner, at arity n, as {key: bits}."""
-    return dict(_Plan(((kernel, outer, (inner,)),), n).entries(n))
+    """One sum of the kernel, outer over inner, at arity n, as {key: bits}:
+    the table of the map the plan builds, which checks no signature."""
+    return _Plan(((kernel, outer, (inner,)),), n).map(n, 0, V2, V2)._table
 
 
 def test_insertion_parity_matches_split_counting():
@@ -812,6 +865,30 @@ def test_morphism_residual_cost_follows_stored_entries():
         got = [morphism_residual(f, n).entries() for n in range(1, 7)]
         assert got == [(), (), (), (((x0, x0, x0, x1), 1), ((x0, x0, x1, x2), 1)), (), ()]
     assert time.perf_counter() - start < 0.5
+
+
+# graded spaces in up to three of the degrees -2..2, each of dimension 1 or
+# 2, so most leave gaps between their degrees
+_DIMS = hst.dictionaries(hst.integers(-2, 2), hst.integers(1, 2), min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_DIMS, _DIMS, _DIMS, hst.integers(1, 3), hst.integers(0, 2 ** 32 - 1))
+def test_residual_matches_naive_on_random_shapes(L, M, U, up_to, seed):
+    # one random structure of each kind on spaces drawn afresh, a module
+    # space apart from L, operations up to arity up_to: the kernels' maps
+    # skip the constructor's checks, so every shape, not only the seeded
+    # ones, must give naive_residual's maps
+    assume(M != L)
+    rng = random.Random(seed)
+    L, M, U = GradedSpace(L), GradedSpace(M), GradedSpace(U)
+    alg = random_algebra(rng, L, 4, up_to)
+    mod = random_module(rng, alg, M, 4, up_to)
+    sts = (alg, random_morphism(rng, alg, random_algebra(rng, M, 4, up_to), 4, up_to), mod,
+           random_modhom(rng, mod, random_module(rng, alg, U, 4, up_to), 4, up_to))
+    for st in sts:
+        for n in range(1, 5):
+            assert residual(st, n) == naive_residual(st, KIND_OF[type(st)], n)
 
 
 def test_residual_dispatch_and_first_failure():
