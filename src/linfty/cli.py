@@ -107,6 +107,7 @@ def cmd_verify(args) -> int:
         raise FormatError("nothing to verify")
     report = {"results": []}
     bad = False
+    lines = sys.stderr if args.report == "-" else sys.stdout  # stdout holds the report alone
     for name, st in items:
         bound = complete_bound(st)
         N = bound if args.max_arity is None else args.max_arity
@@ -118,12 +119,12 @@ def cmd_verify(args) -> int:
         result = {"name": name, "kind": kind, "max_arity": N, "exhaustive": N >= bound,
                   "ok": failure is None}
         if failure is None:
-            print(f"ok    {name} ({kind}): residuals zero for n <= {N}")
+            print(f"ok    {name} ({kind}): residuals zero for n <= {N}", file=lines)
         else:
             bad = True
             n, key, value = failure
             elems = " + ".join(f"({value.degree},{i})" for i in value.indices())
-            print(f"FAIL  {name} ({kind}): arity {n}, inputs {list(key)} -> {elems}")
+            print(f"FAIL  {name} ({kind}): arity {n}, inputs {list(key)} -> {elems}", file=lines)
             result["witness"] = _witness_doc(n, key, value)
         report["results"].append(result)
     report["max_arity"] = max(r["max_arity"] for r in report["results"])
@@ -274,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check n <= N (default: each structure's complete bound, "
                         "from its highest nonzero operations)")
     p.add_argument("--kind", choices=list(KINDS))
-    p.add_argument("--report", help="write the JSON report here ('-' for stdout)")
+    p.add_argument("--report", help="write the JSON report here ('-' for stdout, which then "
+                   "holds the report alone: the ok/FAIL lines go to stderr)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("restrict", help="pull a module back along an algebra morphism")

@@ -48,12 +48,14 @@ a new map (a sum, flip_bit, a parsed or restricted map) starts without
 one.  The table is no part of the map's value: equality, hashing, repr,
 entries() and serialization never see it, and the oracle does not use it.
 
-A structure's relation is one or two sums of those tables (_sums), and the
-kernels read them through the structure's kernel plan (_Plan), built on
-its first residual and kept in its _plan field.  The plan holds the
-numbering of the elements the tables' keys hold (L's, then M's), in bit
-fields wide enough for every arity up to complete_bound (above it the
-kernels find no entries whose arities add up, at any width); each inner
+A structure's relation is stated once, as one or two sums of those tables
+(_sums).  Everything else is read off them: the arity the sums can reach
+(_reach) is complete_bound and sizes the plan's fields, and a residual
+has the signature of the structure's own map of its arity, one degree
+lower.  The kernels read the sums through the structure's kernel plan
+(_Plan), built on its first residual and kept in its _plan field.  The
+plan holds the numbering of the elements the tables' keys hold (L's, then
+M's), in bit fields wide enough for every arity the sums reach; each inner
 table's codes and output elements; each outer table's index under
 the elements its keys hold; the l + k family of a module or module
 morphism, read side by side; and a morphism's grouped-sum inner index.  So
@@ -456,23 +458,39 @@ INSERTION, GROUPED = "insertion", "grouped"
 Sum = Tuple[str, Family, Tuple[Family, ...]]
 
 
-def _sums(st) -> Tuple[Sum, ...]:
-    """The sums of st's defining relation (see the residuals below)."""
+def _sums(st, family=_family) -> Tuple[Sum, ...]:
+    """The sums of st's defining relation (see the residuals below), each
+    family of maps read by family: its kernel tables, or the maps
+    themselves where only the lengths are read."""
     if isinstance(st, LinfAlgebra):
-        l = _family(st.ops)
+        l = family(st.ops)
         return ((INSERTION, l, (l,)),)
     if isinstance(st, LinfMorphism):
-        f = _family(st.comps)
-        return ((INSERTION, f, (_family(st.source.ops),)),
-                (GROUPED, _family(st.target.ops), (f,)))
+        f = family(st.comps)
+        return ((INSERTION, f, (family(st.source.ops),)),
+                (GROUPED, family(st.target.ops), (f,)))
     if isinstance(st, LinfModule):
-        k = _family(st.ops)
-        return ((INSERTION, k, (_family(st.algebra.ops), k)),)
+        k = family(st.ops)
+        return ((INSERTION, k, (family(st.algebra.ops), k)),)
     if isinstance(st, ModuleMorphism):
-        h = _family(st.comps)
-        return ((INSERTION, h, (_family(st.source.algebra.ops), _family(st.source.ops))),
-                (INSERTION, _family(st.target.ops), (h,)))
+        h = family(st.comps)
+        return ((INSERTION, h, (family(st.source.algebra.ops), family(st.source.ops))),
+                (INSERTION, family(st.target.ops), (h,)))
     raise TypeError(f"no defining relation for {type(st).__name__}")
+
+
+def _reach(sums: Sequence[Sum]) -> int:
+    """The highest arity at which the sums can be nonzero, at least 1, from
+    their families' stored lengths: an insertion summand composes an outer
+    and an inner map whose arities add up to n + 1, so it reaches len(outer)
+    + (longest inner) - 1; a grouped summand boxes n inputs into the r <=
+    len(outer) inner maps of an outer one, so it reaches len(outer) *
+    (longest inner)."""
+    top = 1
+    for kernel, outer, inners in sums:
+        inner = max(map(len, inners))
+        top = max(top, len(outer) + inner - 1 if kernel == INSERTION else len(outer) * inner)
+    return top
 
 
 def _numbering(tables: Iterable[Table]) -> List[Basis]:
@@ -542,7 +560,9 @@ def _grouped_part(outer: Family, inners: Tuple[Family, ...], coded, number):
 
 class _Plan:
     """The tables of a relation's sums, encoded and indexed for the
-    kernels once, for every arity up to ``top`` (see the module docstring).
+    kernels once, for every arity up to top = _reach(sums) (see the module
+    docstring); above it no entries' arities add up, so the kernels add
+    nothing at any width.
 
     Each element some key holds is numbered (_numbering) and gets a field
     of ``width`` = top.bit_length() bits: code(A) holds m_A(b), the
@@ -557,8 +577,8 @@ class _Plan:
 
     __slots__ = ("width", "elems", "sums")
 
-    def __init__(self, sums: Sequence[Sum], top: int):
-        self.width = width = top.bit_length()
+    def __init__(self, sums: Sequence[Sum]):
+        self.width = width = _reach(sums).bit_length()
         tables = {id(t): t for _, outer, inners in sums for family in (outer, *inners)
                   for t in family}
         elems = _numbering(tables.values())
@@ -601,13 +621,10 @@ class _Plan:
 
 
 def _plan(st) -> _Plan:
-    """st's kernel plan, built on its first residual and kept on st.  Its
-    fields are wide enough for every arity up to complete_bound(st); above
-    that bound no pair of entries adds up to the arity, so the kernels add
-    nothing at any width."""
+    """st's kernel plan, built on its first residual and kept on st."""
     plan = st._plan
     if plan is None:
-        plan = _Plan(_sums(st), complete_bound(st))
+        plan = _Plan(_sums(st))
         object.__setattr__(st, "_plan", plan)
     return plan
 
@@ -616,17 +633,17 @@ def _plan(st) -> _Plan:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _check_arity(n: int) -> None:
-    if n < 1:
-        raise ValueError("arity must be >= 1")
+def _residual(st, m: SymMultiMap) -> SymMultiMap:
+    """st's residual at m's arity n, m being st's own arity-n map: the
+    relation has m's signature one degree lower.  An arity below 1 is
+    refused by the accessor that gave m."""
+    return _plan(st).map(m.arity, m.shift - 1, m.sym_space, m.codomain, m.last_space)
 
 
 def jacobi_residual(algebra: LinfAlgebra, n: int) -> SymMultiMap:
     """The arity-n Jacobi sum  sum_{i+j=n+1} sum_{sigma in S(i,n-i)}
     l_j(l_i(x_{sigma(1)}..x_{sigma(i)}), x_{sigma(i+1)}, ..)  as one map."""
-    _check_arity(n)
-    space = algebra.space
-    return _plan(algebra).map(n, n - 3, space, space)
+    return _residual(algebra, algebra.op(n))
 
 
 def morphism_residual(mor: LinfMorphism, n: int) -> SymMultiMap:
@@ -634,23 +651,20 @@ def morphism_residual(mor: LinfMorphism, n: int) -> SymMultiMap:
     of the morphism relation, as one arity-n map source^(x)n -> target: an
     insertion sum and a grouped sum, both driven by stored entries, so the
     cost does not grow with the dimension of the source."""
-    _check_arity(n)
-    return _plan(mor).map(n, n - 2, mor.source.space, mor.target.space)
+    return _residual(mor, mor.comp(n))
 
 
 def module_residual(module: LinfModule, n: int) -> SymMultiMap:
     """The module relation at arity n: the Jacobi sum on L x| M over inputs
     with exactly one module element, as one map (module slot last)."""
-    _check_arity(n)
-    return _plan(module).map(n, n - 3, module.algebra.space, module.space, module.space)
+    return _residual(module, module.op(n))
 
 
 def modhom_residual(h: ModuleMorphism, n: int) -> SymMultiMap:
     """The module morphism relation at arity n (module slot last), the
     insertion sums h_j(l_i + k_i ..) + k'_j(.., h_i(..)): the morphism
     relation of id_L + h on one module input, id_L being strict."""
-    _check_arity(n)
-    return _plan(h).map(n, n - 2, h.source.algebra.space, h.target.space, h.source.space)
+    return _residual(h, h.comp(n))
 
 
 def residual(structure, n: int) -> SymMultiMap:
@@ -680,23 +694,11 @@ def first_failure(structure, up_to: int) -> Optional[Tuple[int, tuple, Elem]]:
 
 def complete_bound(structure) -> int:
     """An arity above which every residual of the structure is zero by
-    construction, from its highest nonzero operations (the stored lengths):
-    a summand at arity n composes operations whose arities add up to n + 1
-    (or, for the r-fold products of a morphism, to n).  Checking n <= this
-    bound is exhaustive."""
-    st = structure
-    if isinstance(st, LinfAlgebra):
-        bound = 2 * len(st.ops) - 1
-    elif isinstance(st, LinfMorphism):
-        bound = max(len(st.source.ops) + len(st.comps) - 1, len(st.target.ops) * len(st.comps))
-    elif isinstance(st, LinfModule):
-        bound = max(len(st.algebra.ops) + len(st.ops), 2 * len(st.ops)) - 1
-    elif isinstance(st, ModuleMorphism):
-        bound = max(len(st.source.algebra.ops), len(st.source.ops), len(st.target.ops)) \
-            + len(st.comps) - 1
-    else:
-        raise TypeError(f"no defining relation for {type(st).__name__}")
-    return max(bound, 1)
+    construction, read off the sums of its relation (_sums) and their
+    stored lengths: a summand at arity n composes operations whose arities
+    add up to n + 1, or to n under an r-ary outer map that takes r inner
+    ones (_reach).  Checking n <= this bound is exhaustive."""
+    return _reach(_sums(structure, tuple))
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +719,8 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     """(g o f)_n = sum_{i+j=n+1} sum_{S(i,n-i)} g_j(.., f_i(..)), an insertion
     sum since id_L is strict, for n up to the smaller truncation arity.
 
-    Component n has degree n-1, since (i-1) + (j-1) = n-1; it is zero for
-    n >= len(f.comps) + len(g.comps), so no higher component is computed.
+    Component n has degree n-1, since (i-1) + (j-1) = n-1; it is zero
+    above the sum's reach, so no higher component is computed.
     """
     if f.target != g.source:
         raise ValueError("compose(g, f) requires target(f) == source(g)")
@@ -726,10 +728,10 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     if alg != g.source.algebra:
         raise ValueError("compose requires morphisms over the same algebra")
     N = min(f.max_arity, g.max_arity)
-    top = min(N, len(f.comps) + len(g.comps) - 1)
-    plan = _Plan(((INSERTION, _family(g.comps), (_family(f.comps),)),), max(top, 1))
+    sums = ((INSERTION, _family(g.comps), (_family(f.comps),)),)
+    plan = _Plan(sums)
     comps = {n: plan.map(n, n - 1, alg.space, g.target.space, f.source.space)
-             for n in range(1, top + 1)}
+             for n in range(1, min(N, _reach(sums)) + 1)}
     return ModuleMorphism.build(f.source, g.target, N, comps)
 
 

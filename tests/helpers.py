@@ -1,15 +1,21 @@
 """Shared helpers: randomized structures whose relations need not hold, used
-to pin the residual sums against hand-expanded formulas, and mutants of a
-kernel made by editing its source, which those comparisons must catch."""
+to pin the residual sums against hand-expanded formulas and against the
+oracle on random shapes; a transported algebra whose relations hold by
+cancellation; and mutants of a kernel made by editing its source, which
+those comparisons must catch."""
 
 import inspect
 import itertools
 import random
 import textwrap
 
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as hst
+
 from linfty.gfa import GradedSpace, SymMultiMap
+from linfty.oracle import naive_residual
 from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
-                               complete_bound, compose, pullback, residual)
+                               complete_bound, compose, morphism_residual, pullback, residual)
 
 KIND_OF = {LinfAlgebra: "jacobi", LinfMorphism: "morphism",
            LinfModule: "module", ModuleMorphism: "module_morphism"}
@@ -122,6 +128,53 @@ def wide_arity_morphism():
         4: SymMultiMap(4, 3, V, W, [(((0, 0),) * 4, 1)])})
 
 
+# the graded commutative algebra A = F2<1, t, u, tu>, |t| = |u| = 1, by
+# degree; its products other than by 1 and its differential
+_A = {0: ("1",), 1: ("t", "u"), 2: ("tu",)}
+_A_TIMES = {("t", "u"): "tu", ("u", "t"): "tu"}
+_A_D = {"t": "1", "tu": "u"}
+
+
+def transported_algebra(seed, max_arity=6):
+    """(L', phi) for an infinity-isomorphism phi: L' -> L, phi_1 = id and
+    phi_2, phi_3 random, L' the dg Lie algebra L = g (x) A transported
+    along it.  g is the 2-dimensional nonabelian Lie algebra, [a, b] = b,
+    and A has t^2 = u^2 = 0, dt = 1 and d(tu) = u; so L's space is {0: 2,
+    1: 4, 2: 2}, g_i (x) alpha_j at index 2j + i of alpha_j's degree.
+
+    l'_n is phi's morphism residual at n, computed while l'_n is still
+    zero: phi_1 o l'_n is the one term of that relation holding l'_n.  So
+    L' and phi are valid by construction, L' by cancellation; above arity
+    4 every l'_n is zero by degree."""
+    V = GradedSpace({d: 2 * len(names) for d, names in _A.items()})
+    where = {name: (d, j) for d, names in _A.items() for j, name in enumerate(names)}
+
+    def elem(i, name):
+        d, j = where[name]
+        return d, 2 * j + i
+
+    def times(alpha, beta):
+        return beta if alpha == "1" else alpha if beta == "1" else _A_TIMES.get((alpha, beta))
+
+    l1 = [((elem(i, alpha),), 1 << elem(i, d_alpha)[1])
+          for alpha, d_alpha in _A_D.items() for i in (0, 1)]
+    # [g_0 (x) alpha, g_1 (x) beta] = g_1 (x) alpha beta
+    l2 = [((elem(0, alpha), elem(1, beta)), 1 << elem(1, ab)[1])
+          for alpha, beta in itertools.product(where, repeat=2)
+          if (ab := times(alpha, beta)) is not None]
+    L = LinfAlgebra.build(V, max_arity, {1: SymMultiMap(1, -1, V, V, l1),
+                                         2: SymMultiMap(2, 0, V, V, l2)})
+    rng = random.Random(seed)
+    phi = {1: SymMultiMap(1, 0, V, V, [((b,), 1 << b[1]) for b in V.basis()]),
+           2: random_map(rng, 2, 1, V, V), 3: random_map(rng, 3, 2, V, V)}
+    ops = {}
+    for n in range(1, max_arity + 1):
+        partial = LinfAlgebra.build(V, max_arity, ops)
+        ops[n] = morphism_residual(LinfMorphism.build(partial, L, max_arity, phi), n)
+    transported = LinfAlgebra.build(V, max_arity, ops)
+    return transported, LinfMorphism.build(transported, L, max_arity, phi)
+
+
 def seeded_structures():
     """One random structure of each kind at seed 42, then at seed 3."""
     # a module space sharing the algebra's 2-dimensional degree, and a module
@@ -187,3 +240,38 @@ def unchecked_faults(maps):
         except ValueError:
             faults.append(m)
     return faults
+
+
+# graded spaces in two or three of the degrees -2..2, each of dimension 1 or
+# 2, so most leave gaps between their degrees
+_DIMS = hst.dictionaries(hst.integers(-2, 2), hst.integers(1, 2), min_size=2, max_size=3)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, phases=(Phase.generate,),
+          report_multiple_bugs=False)
+@given(_DIMS, _DIMS, _DIMS, hst.sampled_from((2, 3)), hst.integers(0, 2 ** 32 - 1))
+def residuals_match_naive(L, M, U, up_to, seed):
+    """One random structure of each kind on spaces drawn afresh, a module
+    space apart from L, operations up to arity up_to, has naive_residual's
+    residual at n <= 4.  The same examples every run, and a failure is
+    reported as found, unshrunk, since the kernel mutants run it too."""
+    assume(M != L)
+    rng = random.Random(seed)
+    L, M, U = GradedSpace(L), GradedSpace(M), GradedSpace(U)
+    alg = random_algebra(rng, L, 4, up_to)
+    mod = random_module(rng, alg, M, 4, up_to)
+    sts = (alg, random_morphism(rng, alg, random_algebra(rng, M, 4, up_to), 4, up_to), mod,
+           random_modhom(rng, mod, random_module(rng, alg, U, 4, up_to), 4, up_to))
+    for st in sts:
+        for n in range(1, 5):
+            assert residual(st, n) == naive_residual(st, KIND_OF[type(st)], n)
+
+
+def fails(check) -> bool:
+    """Whether check() fails: on a wrong residual, or on an error a mutant
+    kernel raises on a bad key or an element without a field."""
+    try:
+        check()
+    except (AssertionError, KeyError, IndexError, ValueError):
+        return True
+    return False

@@ -36,10 +36,11 @@ def test_verify_flipped_bit_exit_one_with_witness(fixture_dir, capsys, tmp_path)
     bad = tmp_path / "mutated.json"
     bad.write_text(json.dumps(doc))
     rc = main(["verify", str(bad), "--max-arity", "6", "--report", "-"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert rc == 1
-    assert "FAIL" in out and "M2 (module)" in out and "arity" in out
-    report = json.loads(out[out.index("{"):])
+    # with the report on stdout, the verdict lines go to stderr
+    assert "FAIL" in captured.err and "M2 (module)" in captured.err and "arity" in captured.err
+    report = json.loads(captured.out)
     failing = [r for r in report["results"] if not r["ok"]]
     assert failing and failing[0]["name"] == "M2"
     assert "witness" in failing[0] and failing[0]["witness"]["arity"] >= 1
@@ -55,15 +56,15 @@ def test_verify_default_bound_is_complete(tmp_path, capsys):
     path = tmp_path / "l4.json"
     path.write_text(serialize_bundle(Bundle({"V": V}, {"l4only": LinfAlgebra.build(V, 4, {4: l4})})))
     assert main(["verify", str(path), "--report", "-"]) == 1
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert "FAIL  l4only (algebra): arity 7, inputs [(0, 0), (0, 0), (0, 0), (0, 0), " \
-           "(0, 0), (0, 0), (0, 0)] -> (4,0)" in out
-    result = json.loads(out[out.index("{"):])["results"][0]
+           "(0, 0), (0, 0), (0, 0)] -> (4,0)" in captured.err
+    result = json.loads(captured.out)["results"][0]
     assert result["exhaustive"] and result["max_arity"] == 7
     assert main(["verify", str(path), "--max-arity", "6", "--report", "-"]) == 0
     captured = capsys.readouterr()
     assert "below the complete bound 7" in captured.err
-    assert json.loads(captured.out[captured.out.index("{"):])["results"][0]["exhaustive"] is False
+    assert json.loads(captured.out)["results"][0]["exhaustive"] is False
 
 
 @pytest.mark.parametrize("bound", ["0", "-2"])

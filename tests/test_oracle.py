@@ -8,8 +8,9 @@ from linfty.gfa import GradedSpace, flip_bit
 from linfty.oracle import LabeledOperator, lemma4_equal, lemma4_lhs, lemma4_rhs, naive_residual
 from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
                                complete_bound, residual)
-from helpers import (KIND_OF, kernel_made_maps, patch_mutant, random_algebra, random_map,
-                     random_modhom, random_module, random_morphism, seeded_structures,
+from helpers import (KIND_OF, fails, kernel_made_maps, patch_mutant, random_algebra,
+                     random_map, random_modhom, random_module, random_morphism,
+                     residuals_match_naive, seeded_structures, transported_algebra,
                      unchecked_faults, untabled, wide_arity_morphism)
 
 
@@ -101,8 +102,9 @@ def test_naive_residual_catches_an_untagged_embedding(monkeypatch, old, new):
     # module input collides with L's element (d, i) and M-valued outputs
     # find no key; tagged 0, an M-valued output fills L slots.  Each mutant
     # of the table builder returns a wrong residual on the seeded structures
-    # without raising, besides raising on others.  The structures are new,
-    # so every table is the mutant's, and it dies with them
+    # without raising, besides raising on others, and fails the random-shape
+    # property.  The structures are new, so every table is the mutant's,
+    # and it dies with them
     patch_mutant(monkeypatch, structures, "_kernel_table", (old, new))
     outcomes = Counter()
     for st in untabled(seeded_structures()):
@@ -112,25 +114,29 @@ def test_naive_residual_catches_an_untagged_embedding(monkeypatch, old, new):
             except (StopIteration, ValueError):  # a key with no or two M elements
                 outcomes["raised"] += 1
     assert outcomes[False] and outcomes[True]
+    assert fails(residuals_match_naive)
 
 
 
-@pytest.mark.parametrize("name, edits", [
+@pytest.mark.parametrize("name, edits, on_shapes", [
     # a split counted only when A and B share no element: misses e.g. x
     # inserted into (x, x), C(3, 1) = 3 splits
-    ("_insertion", (("if not a & b:", "if not set(plan.decode(a)) & set(plan.decode(b)):"),)),
+    ("_insertion", (("if not a & b:", "if not set(plan.decode(a)) & set(plan.decode(b)):"),), True),
     # every summand counted once, with no parity test
-    ("_insertion", (("if not a & b:", "if True:"), ("c = a | b", "c = a + b"))),
+    ("_insertion", (("if not a & b:", "if True:"), ("c = a | b", "c = a + b")), True),
     # a numbering without the elements that open a key
-    ("_numbering", (("for b in key}", "for b in key[1:]}"),)),
-    # fields one bit too narrow for the complete bound 8 (7 needs 3 bits)
-    ("_plan", (("_Plan(_sums(st), complete_bound(st))", "_Plan(_sums(st), complete_bound(st) - 1)"),)),
+    ("_numbering", (("for b in key}", "for b in key[1:]}"),), True),
+    # fields one bit too narrow for the complete bound 8 (7 needs 3 bits).
+    # A narrow field shows only on a key that holds one element as many
+    # times as a power-of-two bound, and at bound 1 its fields have no bits,
+    # so decode never ends: it is not run on the random shapes
+    ("_Plan", (("_reach(sums).bit_length()", "(_reach(sums) - 1).bit_length()"),), False),
 ], ids=["disjoint-keys-only", "every-summand", "numbering-misses-elements", "narrow-fields"])
-def test_naive_residual_catches_kernel_plan_mutants(monkeypatch, name, edits):
+def test_naive_residual_catches_kernel_plan_mutants(monkeypatch, name, edits, on_shapes):
     # each mutant makes residual differ from naive_residual, or raise, on
     # the seeded structures or at n = 8 on a morphism whose complete bound
-    # is 8.  The structures are new, so every plan is the mutant's, and it
-    # dies with them
+    # is 8, and fails the random-shape property.  The structures are new,
+    # so every plan is the mutant's, and it dies with them
     patch_mutant(monkeypatch, structures, name, *edits)
     wide = wide_arity_morphism()
     cases = [(st, n) for st in untabled(seeded_structures() + (wide,)) for n in range(1, 6)]
@@ -141,6 +147,7 @@ def test_naive_residual_catches_kernel_plan_mutants(monkeypatch, name, edits):
         except (KeyError, IndexError, ValueError):  # an element without a field, a bad key
             outcomes["raised"] += 1
     assert outcomes[False] or outcomes["raised"]
+    assert not on_shapes or fails(residuals_match_naive)
 
 
 @pytest.mark.parametrize("name, edit, differential", [
@@ -154,14 +161,15 @@ def test_unchecked_map_mutants_fail_the_guard(monkeypatch, name, edit, different
     # the kernels' maps skip the constructor's checks: each mutant builds
     # maps the constructor would rebuild differently or reject, on the
     # fixtures and the seeded structures, and one whose keys are not
-    # canonical also differs from naive_residual.  The structures are new,
-    # so every plan is the mutant's
+    # canonical also differs from naive_residual; both fail the random-shape
+    # property.  The structures are new, so every plan is the mutant's
     patch_mutant(monkeypatch, structures, name, edit)
     groups = [list(fixtures.build(fixture).structures.values()) for fixture in fixtures.FIXTURES]
     assert any(unchecked_faults(kernel_made_maps(untabled(group)))
                for group in groups + [seeded_structures()])
     if differential:
         assert not all(_agrees(st, n) for st in untabled(seeded_structures()) for n in range(1, 6))
+    assert fails(residuals_match_naive)
 
 
 def _gapped_map(rng, arity, shift, sym, cod, last=None):
@@ -243,6 +251,13 @@ def test_complete_bound_is_sound():
         bound = complete_bound(st)
         assert [naive_residual(st, KIND_OF[type(st)], n).is_zero
                 for n in (bound, bound + 1, bound + 2)] == [False, True, True]
+    # L', valid by cancellation, has a summand at its bound 7 and none
+    # above it in the oracle's expansion (its residuals there would walk
+    # 8^n ordered tuples)
+    transported, _ = transported_algebra(0)
+    bound = complete_bound(transported)
+    assert [bool(oracle._naive_jacobi(transported, n, oracle._tables())[0])
+            for n in (bound, bound + 1, bound + 2)] == [True, False, False]
 
 
 def test_naive_residual_raises_when_orderings_disagree(monkeypatch):

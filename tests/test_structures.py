@@ -7,8 +7,6 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as hst
 
 from linfty import fixtures, structures
 from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit
@@ -37,10 +35,10 @@ from linfty.structures import (
 from linfty.cli import main
 from linfty.jsonio import parse_bundle, serialize_bundle
 from linfty.oracle import naive_residual
-from helpers import (KIND_OF, kernel_made_maps, patch_mutant, random_algebra, random_modhom,
-                     random_module, random_morphism, rechecked, seeded_structures,
-                     set_partitions, stored_maps, unchecked_faults, untabled,
-                     wide_arity_morphism)
+from helpers import (KIND_OF, fails, kernel_made_maps, patch_mutant, random_algebra,
+                     random_modhom, random_module, random_morphism, rechecked,
+                     residuals_match_naive, seeded_structures, set_partitions, stored_maps,
+                     transported_algebra, unchecked_faults, untabled, wide_arity_morphism)
 
 V2 = GradedSpace({0: 2, 1: 2})
 W2 = GradedSpace({0: 2, -1: 1})
@@ -673,6 +671,47 @@ def test_plan_is_as_wide_as_the_complete_bound():
     assert first_failure(wide_arity_morphism(), 9)[0] == 8
 
 
+# one space for every map below: l_k(x, .., x) and k_k(x, .., x, m), x = m
+# the degree-0 element, land in degree k - 2, f_k and h_k in degree k - 1
+_U = GradedSpace({d: 1 for d in range(-1, 4)})
+
+
+def _stored(zero_of, length):
+    """{length: the map of zero_of(length)'s signature that takes x, .., x
+    to the element of its degree}, or {} at length 0."""
+    if not length:
+        return {}
+    z = zero_of(length)
+    return {length: SymMultiMap(length, z.shift, z.sym_space, z.codomain,
+                                [(((0, 0),) * length, 1)], last_space=z.last_space)}
+
+
+def test_complete_bound_is_the_closed_form_of_each_kind():
+    # every stored length 0..4 of every family of each kind: a for L, s and
+    # t for a morphism's source and target or a module morphism's source
+    # and target modules, f, k and h for the structure's own maps.  The
+    # bound read off the sums is the closed form of each relation, and the
+    # plan's fields are as wide as the bound needs
+    lengths = range(5)
+    alg = {a: LinfAlgebra.build(_U, 4, _stored(LinfAlgebra(_U, 4, ()).op, a)) for a in lengths}
+    mod = {(a, k): LinfModule.build(alg[a], _U, 4, _stored(LinfModule(alg[a], _U, 4, ()).op, k))
+           for a, k in itertools.product(lengths, repeat=2)}
+    cases = [(alg[a], 2 * a - 1) for a in lengths]
+    cases += [(LinfMorphism.build(alg[s], alg[t], 4,
+                                  _stored(LinfMorphism(alg[s], alg[t], 4, ()).comp, f)),
+               max(s + f - 1, t * f)) for s, t, f in itertools.product(lengths, repeat=3)]
+    cases += [(mod[a, k], max(a + k, 2 * k) - 1) for a, k in mod]
+    cases += [(ModuleMorphism.build(mod[a, s], mod[a, t], 4,
+                                    _stored(ModuleMorphism(mod[a, s], mod[a, t], 4, ()).comp, h)),
+               max(a, s, t) + h - 1) for a, s, t, h in itertools.product(lengths, repeat=4)]
+    assert len(cases) == 5 + 125 + 25 + 625
+    assert {len(st.ops if hasattr(st, "ops") else st.comps) for st, _ in cases} == set(lengths)
+    for st, closed in cases:
+        bound = complete_bound(st)
+        assert bound == max(closed, 1)
+        assert structures._plan(st).width == bound.bit_length()
+
+
 def test_plan_numbers_held_elements_not_the_basis():
     # at dimension 10 and 160 each plan numbers the same elements: those
     # the keys of the tables it reads hold, L's sorted and then M's, which
@@ -735,7 +774,7 @@ def test_residuals_reject_arity_below_one(n):
 def _summed(kernel, outer, inner, n):
     """One sum of the kernel, outer over inner, at arity n, as {key: bits}:
     the table of the map the plan builds, which checks no signature."""
-    return _Plan(((kernel, outer, (inner,)),), n).map(n, 0, V2, V2)._table
+    return _Plan(((kernel, outer, (inner,)),)).map(n, 0, V2, V2)._table
 
 
 def test_insertion_parity_matches_split_counting():
@@ -841,10 +880,12 @@ def test_grouped_entries_matches_the_key_walk_and_the_oracle():
     (("co = corr + (rn & -rn).bit_length() - 1", "co = corr"),),
 ], ids=["no-parity-test", "no-run-correction"])
 def test_grouped_differential_catches_kernel_mutants(monkeypatch, edits):
-    # on new structures, whose tables no other test has built or reads
+    # on new structures, whose tables no other test has built or reads;
+    # the random-shape property builds new ones too
     patch_mutant(monkeypatch, structures, "_grouped_entries", *edits)
     assert not all(_grouped_agrees(mor, n) for mor in untabled(_random_morphisms())
                    for n in range(1, 8))
+    assert fails(residuals_match_naive)
 
 
 def test_morphism_residual_cost_follows_stored_entries():
@@ -867,28 +908,28 @@ def test_morphism_residual_cost_follows_stored_entries():
     assert time.perf_counter() - start < 0.5
 
 
-# graded spaces in up to three of the degrees -2..2, each of dimension 1 or
-# 2, so most leave gaps between their degrees
-_DIMS = hst.dictionaries(hst.integers(-2, 2), hst.integers(1, 2), min_size=1, max_size=3)
+def test_residual_matches_naive_on_random_shapes():
+    # the kernels' maps skip the constructor's checks, so every shape, not
+    # only the seeded ones, must give naive_residual's maps
+    residuals_match_naive()
 
 
-@settings(derandomize=True, max_examples=50, deadline=None)
-@given(_DIMS, _DIMS, _DIMS, hst.integers(1, 3), hst.integers(0, 2 ** 32 - 1))
-def test_residual_matches_naive_on_random_shapes(L, M, U, up_to, seed):
-    # one random structure of each kind on spaces drawn afresh, a module
-    # space apart from L, operations up to arity up_to: the kernels' maps
-    # skip the constructor's checks, so every shape, not only the seeded
-    # ones, must give naive_residual's maps
-    assume(M != L)
-    rng = random.Random(seed)
-    L, M, U = GradedSpace(L), GradedSpace(M), GradedSpace(U)
-    alg = random_algebra(rng, L, 4, up_to)
-    mod = random_module(rng, alg, M, 4, up_to)
-    sts = (alg, random_morphism(rng, alg, random_algebra(rng, M, 4, up_to), 4, up_to), mod,
-           random_modhom(rng, mod, random_module(rng, alg, U, 4, up_to), 4, up_to))
-    for st in sts:
+@pytest.mark.parametrize("seed", [0, 1])
+def test_transported_algebra_is_valid_by_cancellation(seed):
+    # L' = g (x) A transported along phi (tests/helpers.py): L' and phi
+    # verify up to their complete bounds and the oracle agrees at n <= 4.
+    # Without l'_3 the Jacobi relation fails, so L' is valid by
+    # cancellation of its summands, not by degree
+    transported, phi = transported_algebra(seed)
+    assert not transported.op(3).is_zero and not transported.op(4).is_zero
+    for st in (transported, phi):
+        assert first_failure(st, complete_bound(st)) is None
         for n in range(1, 5):
             assert residual(st, n) == naive_residual(st, KIND_OF[type(st)], n)
+    ops = dict(enumerate(transported.ops, start=1))
+    del ops[3]
+    broken = LinfAlgebra.build(transported.space, transported.max_arity, ops)
+    assert first_failure(broken, complete_bound(broken)) is not None
 
 
 def test_residual_dispatch_and_first_failure():
