@@ -48,8 +48,8 @@ a new map (a sum, flip_bit, a parsed or restricted map) starts without
 one.  The table is no part of the map's value: equality, hashing, repr,
 entries() and serialization never see it, and the oracle does not use it.
 
-A structure's relation is stated once, as one or two sums of those tables
-(_sums).  Everything else is read off them: the arity the sums can reach
+A structure's relation is stated once, as one or two sums of its families
+of maps (_sums).  Everything else is read off them: the arity the sums can reach
 (_reach) is complete_bound and sizes the plan's fields, and a residual
 has the signature of the structure's own map of its arity, one degree
 lower.  The kernels read the sums through the structure's kernel plan
@@ -454,29 +454,30 @@ def _module_map(n: int, shift: int, alg: GradedSpace, cod: GradedSpace, mod: Gra
 INSERTION, GROUPED = "insertion", "grouped"
 
 # a relation as the sums it adds up: (kernel, outer family, inner families),
-# the inner families read side by side at each arity
-Sum = Tuple[str, Family, Tuple[Family, ...]]
+# the inner families read side by side at each arity; _sums gives families
+# of maps, and _tabled their kernel tables, which a plan reads
+Sum = Tuple[str, Sequence, Tuple[Sequence, ...]]
 
 
-def _sums(st, family=_family) -> Tuple[Sum, ...]:
-    """The sums of st's defining relation (see the residuals below), each
-    family of maps read by family: its kernel tables, or the maps
-    themselves where only the lengths are read."""
+def _sums(st) -> Tuple[Sum, ...]:
+    """The sums of st's defining relation (see the residuals below)."""
     if isinstance(st, LinfAlgebra):
-        l = family(st.ops)
-        return ((INSERTION, l, (l,)),)
+        return ((INSERTION, st.ops, (st.ops,)),)
     if isinstance(st, LinfMorphism):
-        f = family(st.comps)
-        return ((INSERTION, f, (family(st.source.ops),)),
-                (GROUPED, family(st.target.ops), (f,)))
+        return ((INSERTION, st.comps, (st.source.ops,)),
+                (GROUPED, st.target.ops, (st.comps,)))
     if isinstance(st, LinfModule):
-        k = family(st.ops)
-        return ((INSERTION, k, (family(st.algebra.ops), k)),)
+        return ((INSERTION, st.ops, (st.algebra.ops, st.ops)),)
     if isinstance(st, ModuleMorphism):
-        h = family(st.comps)
-        return ((INSERTION, h, (family(st.source.algebra.ops), family(st.source.ops))),
-                (INSERTION, family(st.target.ops), (h,)))
+        return ((INSERTION, st.comps, (st.source.algebra.ops, st.source.ops)),
+                (INSERTION, st.target.ops, (st.comps,)))
     raise TypeError(f"no defining relation for {type(st).__name__}")
+
+
+def _tabled(sums: Sequence[Sum]) -> Tuple[Sum, ...]:
+    """The sums with each family of maps read as its kernel tables."""
+    return tuple((kernel, _family(outer), tuple(map(_family, inners)))
+                 for kernel, outer, inners in sums)
 
 
 def _reach(sums: Sequence[Sum]) -> int:
@@ -624,7 +625,7 @@ def _plan(st) -> _Plan:
     """st's kernel plan, built on its first residual and kept on st."""
     plan = st._plan
     if plan is None:
-        plan = _Plan(_sums(st))
+        plan = _Plan(_tabled(_sums(st)))
         object.__setattr__(st, "_plan", plan)
     return plan
 
@@ -698,7 +699,7 @@ def complete_bound(structure) -> int:
     stored lengths: a summand at arity n composes operations whose arities
     add up to n + 1, or to n under an r-ary outer map that takes r inner
     ones (_reach).  Checking n <= this bound is exhaustive."""
-    return _reach(_sums(structure, tuple))
+    return _reach(_sums(structure))
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +729,8 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     if alg != g.source.algebra:
         raise ValueError("compose requires morphisms over the same algebra")
     N = min(f.max_arity, g.max_arity)
-    sums = ((INSERTION, _family(g.comps), (_family(f.comps),)),)
-    plan = _Plan(sums)
+    sums = ((INSERTION, g.comps, (f.comps,)),)
+    plan = _Plan(_tabled(sums))
     comps = {n: plan.map(n, n - 1, alg.space, g.target.space, f.source.space)
              for n in range(1, min(N, _reach(sums)) + 1)}
     return ModuleMorphism.build(f.source, g.target, N, comps)

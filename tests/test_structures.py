@@ -7,6 +7,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as hst
 
 from linfty import fixtures, structures
 from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit
@@ -37,8 +39,9 @@ from linfty.jsonio import parse_bundle, serialize_bundle
 from linfty.oracle import naive_residual
 from helpers import (KIND_OF, fails, kernel_made_maps, patch_mutant, random_algebra,
                      random_modhom, random_module, random_morphism, rechecked,
-                     residuals_match_naive, seeded_structures, set_partitions, stored_maps,
-                     transported_algebra, unchecked_faults, untabled, wide_arity_morphism)
+                     residuals_match_naive, seeded_structures, set_partitions,
+                     shapes_match_naive, stored_maps, transported_algebra, unchecked_faults,
+                     untabled, wide_arity_morphism)
 
 V2 = GradedSpace({0: 2, 1: 2})
 W2 = GradedSpace({0: 2, -1: 1})
@@ -534,7 +537,8 @@ def test_first_failure_builds_each_table_once(monkeypatch):
         assert first_failure(st, complete_bound(st)) is None
         per_structure = Counter(map(id, encoded[start:]))
         assert set(per_structure.values()) <= {1}
-        assert set(per_structure) == {id(table) for _, outer, inners in structures._sums(st)
+        sums = structures._tabled(structures._sums(st))
+        assert set(per_structure) == {id(table) for _, outer, inners in sums
                                       for family in (outer, *inners) for table in family}
     assert max(complete_bound(st) for st in sts) >= 3
     counts = Counter(map(id, built))
@@ -720,7 +724,8 @@ def test_plan_numbers_held_elements_not_the_basis():
     for D in (10, 160):
         for name, st in _embedded("functoriality-chain", D).structures.items():
             first_failure(st, 6)
-            held = {b for _, outer, inners in structures._sums(st)
+            sums = structures._tabled(structures._sums(st))
+            held = {b for _, outer, inners in sums
                     for family in (outer, *inners) for table in family for key in table for b in key}
             ms = sorted(b for b in held if b[1] < 0)
             assert st._plan.elems == tuple(sorted(held - set(ms))) + tuple((d, ~i) for d, i in ms)
@@ -908,9 +913,21 @@ def test_morphism_residual_cost_follows_stored_entries():
     assert time.perf_counter() - start < 0.5
 
 
-def test_residual_matches_naive_on_random_shapes():
-    # the kernels' maps skip the constructor's checks, so every shape, not
-    # only the seeded ones, must give naive_residual's maps
+# graded spaces in up to three of the degrees -2..2, each of dimension 1 or
+# 2, so most leave gaps between their degrees
+_DIMS = hst.dictionaries(hst.integers(-2, 2), hst.integers(1, 2), min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, phases=(Phase.generate,))
+@given(_DIMS, _DIMS, _DIMS, hst.integers(1, 3), hst.integers(0, 2 ** 32 - 1))
+def test_residual_matches_naive_on_random_shapes(L, M, U, up_to, seed):
+    # one random structure of each kind on spaces drawn afresh, a module
+    # space apart from L, operations up to arity up_to
+    shapes_match_naive(L, M, U, up_to, seed)
+
+
+def test_residual_matches_naive_on_spread_shapes():
+    # the shapes the kernel mutants run, on the kernels as they are
     residuals_match_naive()
 
 
