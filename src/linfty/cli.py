@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import warnings as _warnings
 from pathlib import Path
@@ -48,13 +47,9 @@ OK, MATH_FAIL, INPUT_ERROR = 0, 1, 2
 
 
 def _thread_cap() -> int:
-    """The LINFTY_THREADS setting, at least 1.  Verification is serial; this
-    stays because the benchmark prints it with each run and its contract
-    test checks that it exists."""
-    try:
-        return max(1, int(os.environ.get("LINFTY_THREADS", "1")))
-    except ValueError:
-        return 1
+    """1: verification is serial.  This stays only because the benchmark
+    prints it with each run."""
+    return 1
 
 
 def _read(paths: List[str]) -> List[Tuple[str, Bundle]]:

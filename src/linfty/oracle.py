@@ -89,7 +89,8 @@ def lemma4_lhs(n: int) -> Counter:
     """Summands of the first presentation: anchor a p-unshuffle at
     sigma(p) = n, then unshuffle the two sides into primed families of boxes
     with the module element in between.  One of the two box groups may be
-    empty, but not both."""
+    empty, but not both: the left one is empty only at p = 1 and the right
+    one only at p = n, so both would need n = 1, which is refused."""
     if n < 2:
         raise ValueError("needs n >= 2")
     ops: Counter = Counter()
@@ -100,8 +101,6 @@ def lemma4_lhs(n: int) -> Counter:
                 for boxes in _primed_boxes(comp_l):
                     blocks_l = tuple(tuple(left[k] + 1 for k in box) for box in boxes)
                     for comp_r in _compositions(n - p):
-                        if not comp_l and not comp_r:
-                            continue  # r = s = 0 disallowed
                         for boxes_r in _primed_boxes(comp_r):
                             blocks_r = tuple(tuple(right[k] + 1 for k in box) for box in boxes_r)
                             ops[LabeledOperator(blocks_l + blocks_r, len(blocks_l))] += 1

@@ -1,6 +1,7 @@
 """
 Permutations of {1, ..., n} in one-line notation, and the unshuffle families
-used by every summation in the package.
+that the oracle and the command line read; the fast path in ``structures``
+uses none of them.
 
 Conventions
 -----------

@@ -707,7 +707,9 @@ def complete_bound(structure) -> int:
 # ---------------------------------------------------------------------------
 
 def identity_morphism(module: LinfModule) -> ModuleMorphism:
-    """h_1 = identity on the module space, h_r = 0 for r >= 2."""
+    """h_1 = identity on the module space, h_r = 0 for r >= 2.  h_1 stores
+    1 << i for each basis element (d, i), so it grows with the square of a
+    degree's dimension.  Nothing in this package calls it."""
     ident = SymMultiMap(
         1, 0, module.algebra.space, module.space,
         [((b,), 1 << b[1]) for b in module.space.basis()],

@@ -1,9 +1,11 @@
 """Shared helpers: randomized structures whose relations need not hold, used
 to pin the residual sums against hand-expanded formulas and against the
 oracle on random shapes; a transported algebra whose relations hold by
-cancellation; and mutants of a kernel made by editing its source, which
-those comparisons must catch."""
+cancellation; the semidirect products L x| M on the direct sum, which check
+restriction by its defining property; and mutants of a kernel made by
+editing its source, which those comparisons must catch."""
 
+import functools
 import inspect
 import itertools
 import random
@@ -12,7 +14,7 @@ import textwrap
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as hst
 
-from linfty.gfa import GradedSpace, SymMultiMap
+from linfty.gfa import GradedSpace, SymMultiMap, unit
 from linfty.oracle import naive_residual
 from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
                                complete_bound, compose, morphism_residual, pullback, residual)
@@ -174,6 +176,89 @@ def transported_algebra(seed):
         ops[n] = morphism_residual(LinfMorphism.build(partial, L, 6, phi), n)
     transported = LinfAlgebra.build(V, 6, ops)
     return transported, LinfMorphism.build(transported, L, 6, phi)
+
+
+def _direct_sum(L: GradedSpace, M: GradedSpace) -> GradedSpace:
+    """L + M, with M's basis after L's in each degree."""
+    return GradedSpace({d: L.dim(d) + M.dim(d) for d in set(L.degrees()) | set(M.degrees())})
+
+
+def _offset(m, L: GradedSpace):
+    """The entries of the module-slot-last map m as entries of a map on L +
+    M (_direct_sum): its module input and its output, both in M, moved
+    past L's basis in their degrees."""
+    out = []
+    for key, bits in m.entries():
+        d, i = key[-1]
+        out.append((key[:-1] + ((d, L.dim(d) + i),),
+                    bits << L.dim(sum(b[0] for b in key) + m.shift)))
+    return tuple(out)
+
+
+def semidirect(module):
+    """L x| M as an algebra on L + M: l_k on L inputs, k_k on k - 1 L
+    inputs and one M input, zero on two or more M inputs (Lada-Markl
+    1995).  Built here on the direct sum, not on the kernels' tagged keys,
+    so its Jacobi residual is a second derivation of the module relation."""
+    L = module.algebra.space
+    space = _direct_sum(L, module.space)
+    ops = {k: SymMultiMap(k, k - 2, space, space,
+                          module.algebra.op(k).entries() + _offset(module.op(k), L))
+           for k in range(1, max(len(module.algebra.ops), len(module.ops)) + 1)}
+    return LinfAlgebra.build(space, module.max_arity, ops)
+
+
+def plus_identity(I, restricted, module):
+    """I + id_M as an algebra morphism L' x| I*M -> L x| M, restricted
+    being I*M: I on L' inputs, the identity from restricted's copy of M to
+    module's, zero on any other input.  I*M is the restriction exactly
+    when this is an L-infinity morphism."""
+    source, target = semidirect(restricted), semidirect(module)
+    Lp, L = I.source.space, I.target.space
+    ident = tuple((((d, Lp.dim(d) + i),), 1 << (L.dim(d) + i)) for d, i in module.space.basis())
+    comps = {n: SymMultiMap(n, n - 1, source.space, target.space,
+                            I.comp(n).entries() + (ident if n == 1 else ()))
+             for n in range(1, len(I.comps) + 1)}
+    return LinfMorphism.build(source, target, I.max_arity, comps)
+
+
+def identity_plus(h):
+    """id_L + h as an algebra morphism L x| M -> L x| N for a module
+    morphism h: M -> N over L: the identity on L inputs, h_n on n - 1 L
+    inputs and one M input, zero on any other input."""
+    source, target = semidirect(h.source), semidirect(h.target)
+    L = h.source.algebra.space
+    ident = tuple(((b,), 1 << b[1]) for b in L.basis())
+    comps = {n: SymMultiMap(n, n - 1, source.space, target.space,
+                            _offset(h.comp(n), L) + (ident if n == 1 else ()))
+             for n in range(1, max(len(h.comps), 1) + 1)}
+    return LinfMorphism.build(source, target, h.max_arity, comps)
+
+
+@functools.lru_cache(maxsize=None)
+def _boxings(n, most, widest):
+    """The set partitions of range(n) into at most ``most`` boxes of at
+    most ``widest`` elements each."""
+    return tuple(boxes for boxes in set_partitions(n)
+                 if len(boxes) <= most and max(map(len, boxes)) <= widest)
+
+
+def composite(G, F):
+    """The algebra morphism G o F as {n: {key: bits}}, nonzero entries only,
+    by its set-partition derivation: (G o F)_n is the sum over set
+    partitions {B_1..B_r} of the n inputs of G_r(F_|B_1|(B_1), ..,
+    F_|B_r|(B_r)), zero above len(G.comps) * len(F.comps)."""
+    out = {}
+    for n in range(1, len(G.comps) * len(F.comps) + 1):
+        for key in itertools.combinations_with_replacement(F.source.space.basis(), n):
+            bits = 0
+            for boxes in _boxings(n, len(G.comps), len(F.comps)):
+                zs = tuple(F.comp(len(box)).eval(tuple(unit(key[p]) for p in box))
+                           for box in boxes)
+                bits ^= G.comp(len(boxes)).eval(zs).bits
+            if bits:
+                out.setdefault(n, {})[key] = bits
+    return out
 
 
 def seeded_structures():

@@ -77,11 +77,10 @@ def test_traced_pass_confirms_the_predicted_layer(name, seed, tmp_path, monkeypa
     assert failures == [], details["layer_self_s"]
 
 
-def test_tracer_installs_and_leaves_nothing_behind(monkeypatch):
+def test_tracer_installs_and_leaves_nothing_behind():
     with tracing.Tracer().installed():
         assert tracing.wrapped_names()
     assert tracing.wrapped_names() == []
-    monkeypatch.delenv("LINFTY_THREADS", raising=False)
     assert isinstance(linfty.cli._thread_cap(), int)
 
 

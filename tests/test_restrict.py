@@ -7,9 +7,9 @@ import warnings
 import pytest
 
 import linfty.restrict
-from linfty import fixtures
+from linfty import fixtures, structures
 from linfty.cli import main
-from linfty.gfa import GradedSpace, SymMultiMap, flip_bit, unit
+from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit
 from linfty.jsonio import Bundle, parse_bundle, serialize_bundle
 from linfty.restrict import (
     RestrictionContext,
@@ -21,13 +21,17 @@ from linfty.restrict import (
     restrict_module,
     restrict_morphism,
 )
-from helpers import random_algebra, random_modhom, random_module, random_morphism, set_partitions
+from helpers import (composite, fails, identity_plus, patch_mutant, plus_identity,
+                     random_algebra, random_modhom, random_module, random_morphism, semidirect,
+                     set_partitions)
 from linfty.structures import (
     LinfAlgebra,
     LinfModule,
     LinfMorphism,
     ModuleMorphism,
+    complete_bound,
     compose,
+    first_failure,
     identity_morphism,
     modhom_residual,
     module_residual,
@@ -192,6 +196,112 @@ def test_pullback_matches_set_partition_derivation():
                     assert got(n).value(xs + (m,)) == bits
 
 
+def _holds(st) -> bool:
+    return first_failure(st, complete_bound(st)) is None
+
+
+def _cleared(m):
+    """m with the lowest output bit of its first entry cleared."""
+    key, bits = m.entries()[0]
+    return flip_bit(m, key, (bits & -bits).bit_length() - 1)
+
+
+def _top_flipped(st):
+    """A copy of a module or module morphism with one output bit of its top
+    stored map cleared."""
+    maps = dict(enumerate(st.ops if isinstance(st, LinfModule) else st.comps, start=1))
+    maps[len(maps)] = _cleared(maps[len(maps)])
+    if isinstance(st, LinfModule):
+        return LinfModule.build(st.algebra, st.space, st.max_arity, maps)
+    return ModuleMorphism.build(st.source, st.target, st.max_arity, maps)
+
+
+@pytest.mark.parametrize("bundle_name, morphism_name, module_name", [
+    ("abelian-i2", "I2", "M2"), ("functoriality-chain", "I_chain", "A"),
+    ("functoriality-chain", "I_chain", "B"), ("functoriality-chain", "I_chain", "C"),
+    ("heisenberg-adjoint", "inclusion", "adjoint"),
+])
+def test_restriction_satisfies_its_defining_property(bundle_name, morphism_name, module_name):
+    # I*M is the L'-module for which I + id_M: L' x| I*M -> L x| M is an
+    # L-infinity morphism (Lada-Markl 1995).  Checked on the direct sums,
+    # through the algebra and morphism kernels, not through pullback.  A
+    # flipped bit of the top k' is another module in most cases, but never
+    # one that I + id_M carries into L x| M
+    b, ctx = _ctx(bundle_name, morphism_name)
+    I, M = ctx.morphism, b.structures[module_name]
+    restricted = restrict_module(ctx, M, verify=False)
+    assert _holds(semidirect(M)) and _holds(semidirect(restricted))
+    assert _holds(plus_identity(I, restricted, M))
+    assert not _holds(plus_identity(I, _top_flipped(restricted), M))
+
+
+@pytest.mark.parametrize("name", ["f", "g", "t"])
+def test_restricted_morphism_satisfies_its_defining_property(name):
+    # I*f: I*A -> I*B is a module morphism exactly when id_L' + I*f is an
+    # algebra morphism, and it is the restriction of f exactly when
+    # (I + id_B) o (id_L' + I*f) = (id_L + f) o (I + id_A), each composite
+    # summed over set partitions.  A flipped bit of its top component
+    # breaks both
+    b, ctx = _ctx("functoriality-chain", "I_chain")
+    I, f = ctx.morphism, b.structures[name]
+
+    def square_commutes(h):
+        return composite(plus_identity(I, h.target, f.target), identity_plus(h)) == \
+            composite(identity_plus(f), plus_identity(I, h.source, f.source))
+
+    restricted = restrict_morphism(ctx, f, verify=False)
+    assert _holds(identity_plus(restricted)) and square_commutes(restricted)
+    flipped = _top_flipped(restricted)
+    assert not _holds(identity_plus(flipped)) and not square_commutes(flipped)
+
+
+def _seventh_arity_pullback():
+    """I: L' -> L with I_3(x, x, x) = I_3(y, y, y) = e, and the L-module M
+    with k_3(e, e, m) = m', at truncation 8.  The pullback of k_3 boxes six
+    inputs into two triples, so its only nonzero operation is k'_7."""
+    Lp, L, M = GradedSpace({0: 2}), GradedSpace({2: 1}), GradedSpace({0: 1, 5: 1})
+    x, y, e, m = (0, 0), (0, 1), (2, 0), (0, 0)
+    target = LinfAlgebra.build(L, 8, {})
+    I = LinfMorphism.build(LinfAlgebra.build(Lp, 8, {}), target, 8, {
+        3: SymMultiMap(3, 2, Lp, L, [((x, x, x), 1), ((y, y, y), 1)])})
+    module = LinfModule.build(target, M, 8, {
+        3: SymMultiMap(3, 1, L, M, [((e, e, m), 1)], last_space=M)})
+    return I, module
+
+
+def _check_seventh_arity_pullback():
+    # (x, x, x, y, y, y) splits into two boxes that I_3 takes to e in one
+    # way; x^6 and y^6 in C(6, 3) / 2 = 10 ways, which cancel
+    I, M = _seventh_arity_pullback()
+    got = structures.pullback(I, M.ops, 8)
+    x, y, m = (0, 0), (0, 1), (0, 0)
+    assert {n: k.entries() for n, k in got.items() if not k.is_zero} == \
+        {7: (((x, x, x, y, y, y, m), 1),)}
+    partitions = list(set_partitions(6))
+    for xs in itertools.combinations_with_replacement(I.source.space.basis(), 6):
+        for mb in M.space.basis():
+            bits = 0
+            for boxes in partitions:
+                zs = tuple(I.comp(len(box)).eval(tuple(unit(xs[p]) for p in box))
+                           for box in boxes)
+                bits ^= M.op(len(boxes) + 1).eval(zs + (unit(mb),)).bits
+            assert got[7].value(xs + (mb,)) == bits
+
+
+def test_pullback_reaches_arity_seven():
+    _check_seventh_arity_pullback()
+
+
+def test_pullback_arity_cap_mutant_misses_arity_seven(monkeypatch):
+    # with len(maps) = len(I.comps) = 3, the cap (3 - 1) * 3 + 1 = 7 reaches
+    # k'_7; the additive cap 3 - 1 + 3 + 1 = 6 stores nothing, and the
+    # restriction still verifies
+    patch_mutant(monkeypatch, structures, "pullback",
+                 ("(len(maps) - 1) * len(morphism.comps) + 1",
+                  "len(maps) - 1 + len(morphism.comps) + 1"))
+    assert fails(_check_seventh_arity_pullback)
+
+
 def _counting(monkeypatch, name):
     """Replace restrict's binding of name by a wrapper that logs each call."""
     calls, original = [], getattr(linfty.restrict, name)
@@ -271,7 +381,6 @@ def _cubic_action_setup():
 
 def test_strict_collapse_through_equal_size_groups():
     I, mod, f, (y, m0) = _cubic_action_setup()
-    from linfty.structures import first_failure
     for st in (I, mod, f):
         assert first_failure(st, 6) is None  # genuinely valid inputs
     ctx = context(I, 6)
@@ -332,6 +441,55 @@ def test_functoriality_report_carries_witnesses():
          **{k: tweaked.comp(k) for k in range(2, 7) if not tweaked.comp(k).is_zero}})
     diff = [n for n in range(1, 7) if lhs.comp(n) != broken.comp(n)]
     assert diff == [1]
+
+
+def _flipping_pullback(monkeypatch):
+    """Make every pullback clear one output bit of its top nonzero map, as
+    a wrong pullback would."""
+    original = linfty.restrict.pullback
+
+    def flipped(morphism, maps, up_to):
+        out = original(morphism, maps, up_to)
+        n = max(k for k, m in out.items() if not m.is_zero)
+        out[n] = _cleared(out[n])
+        return out
+
+    monkeypatch.setattr(linfty.restrict, "pullback", flipped)
+
+
+def test_functoriality_report_finds_a_wrong_pullback(monkeypatch):
+    # its mismatches are those of comparing the two sides entry by entry
+    _flipping_pullback(monkeypatch)
+    b, ctx = _ctx("functoriality-chain", "I_chain")
+    f, g = b.structures["f"], b.structures["g"]
+    rep = check_functoriality(ctx, f, g)
+    lhs = restrict_morphism(ctx, compose(g, f), verify=False)
+    rhs = compose(restrict_morphism(ctx, g, verify=False),
+                  restrict_morphism(ctx, f, verify=False))
+    expected = []
+    for n in range(1, 7):
+        left, right = dict(lhs.comp(n).entries()), dict(rhs.comp(n).entries())
+        diff = {k: left.get(k, 0) ^ right.get(k, 0) for k in left.keys() | right.keys()}
+        diff = {k: bits for k, bits in diff.items() if bits}
+        if diff:
+            key = min(diff)
+            expected.append((n, key, Elem(sum(d for d, _ in key) + n - 1, diff[key])))
+    assert not rep.passed and list(rep.mismatches) == expected
+
+
+def test_restrict_command_reports_a_wrong_pullback(monkeypatch, tmp_path, capsys):
+    # verified inputs and a restriction failing its relation: exit 1, one
+    # error line naming an implementation bug, and no output file
+    _flipping_pullback(monkeypatch)
+    path = tmp_path / "abelian-i2.json"
+    path.write_text(serialize_bundle(fixtures.build("abelian-i2")))
+    out = tmp_path / "out.json"
+    assert main(["restrict", "--morphism", str(path), "--module", str(path),
+                 "-o", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith("implementation bug")
+    assert not out.exists()
 
 
 def test_classical_restriction_matches_and_serializes_identically():

@@ -499,6 +499,18 @@ def test_compose_requires_matching_modules():
         compose(f, t)  # t ends at C, f starts at A
 
 
+def test_compose_requires_one_algebra():
+    # build refuses a module morphism between modules over two algebras, so
+    # f is made with the bare constructor: from A over the chain's source
+    # algebra to B over its target algebra
+    b = fixtures.build("functoriality-chain")
+    f, g = b.structures["f"], b.structures["g"]
+    stray = ModuleMorphism(LinfModule.build(b.structures["chain_source"], f.source.space, 6, {}),
+                           f.target, f.max_arity, f.comps)
+    with pytest.raises(ValueError, match="over the same algebra"):
+        compose(g, stray)
+
+
 # ---------------------------------------------------------------------------
 # kernel tables
 # ---------------------------------------------------------------------------
