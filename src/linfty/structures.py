@@ -61,12 +61,16 @@ the elements its keys hold; the l + k family of a module or module
 morphism, read side by side; and a morphism's grouped-sum inner index.  So
 each table is encoded and indexed once per structure, and each residual
 and first_failure arity runs only the pair loop and _Plan.map, whose keys
-need no check by the map constructor.  Nothing in a structure or its maps
-changes once built, so its plan never goes stale; a structure built anew
-(parsed, built from maps, restricted or composed) starts without one, so
-building one costs no encoding.  compose builds one plan per call.  Like
-the tables, the plan is plain data outside the structure's value:
-equality, hashing, repr and serialization skip it.
+need no check by the map constructor.  _Plan.map decodes each code a
+chunk of fields at a time, through a memo per chunk position that the
+plan fills as chunk values first occur, so a key costs one lookup per
+nonzero chunk, not a step per field up to its highest element.  Nothing
+in a structure or its maps changes once built, so its plan never goes
+stale; a structure built anew (parsed, built from maps, restricted or
+composed) starts without one, so building one costs no encoding.
+compose builds one plan per call.  Like the tables, the plan, its memos
+included, is plain data outside the structure's value: equality,
+hashing, repr and serialization skip it.
 
 A structure stores its maps only up to its highest nonzero arity; max_arity
 is the truncation number alone.  Every loop over arities runs to the stored
@@ -559,6 +563,11 @@ def _grouped_part(outer: Family, inners: Tuple[Family, ...], coded, number):
     return part
 
 
+# a code is decoded a chunk of fields at a time: as many whole fields as fit
+# in this many bits, and at least one
+_CHUNK_BITS = 12
+
+
 class _Plan:
     """The tables of a relation's sums, encoded and indexed for the
     kernels once, for every arity up to top = _reach(sums) (see the module
@@ -571,12 +580,18 @@ class _Plan:
     code(B) == 0 exactly when every m_A(b) & m_B(b) == 0, and then code(A
     u B) = code(A) | code(B); and a sum of codes whose fields add up to at
     most top is the code of the union.  ``elems`` gives back each field's
-    element for decode, M elements (numbered last) in the maps' own (d, i).
-    ``sums`` holds each sum's kernel and part (_insertion_part,
-    _grouped_part).  A plan holds numbers, tuples, lists and dicts only.
+    element, M elements (numbered last) in the maps' own (d, i).  ``sums``
+    holds each sum's kernel and part (_insertion_part, _grouped_part).
+
+    keys decodes codes a chunk of ``per`` fields at a time (_CHUNK_BITS):
+    ``memos`` holds a dict for each chunk position, chunk value -> the
+    elements its fields hold, filled on the value's first decode, so each
+    key costs one lookup per nonzero chunk.  The memos grow with the plan's
+    residuals, and are plain data like the rest of the plan, outside the
+    structure's value.  A plan holds numbers, tuples, lists and dicts only.
     """
 
-    __slots__ = ("width", "elems", "sums")
+    __slots__ = ("width", "per", "elems", "memos", "sums")
 
     def __init__(self, sums: Sequence[Sum]):
         self.width = width = _reach(sums).bit_length()
@@ -587,24 +602,49 @@ class _Plan:
         fields = {b: 1 << (k * width) for k, b in enumerate(elems)}
         coded = {i: _encoded(t, fields) for i, t in tables.items()}
         self.elems = tuple((d, ~i) if i < 0 else (d, i) for d, i in elems)
+        self.per = per = max(1, _CHUNK_BITS // width)
+        self.memos = tuple({} for _ in range(0, len(elems), per))
         self.sums = tuple(
             (kernel, _insertion_part(outer, inners, coded, number, fields) if kernel == INSERTION
              else _grouped_part(outer, inners, coded, number))
             for kernel, outer, inners in sums)
 
-    def decode(self, c: int) -> Key:
-        """The sorted key of a code, its M element (if any) last."""
-        width, elems = self.width, self.elems
+    def _chunk(self, j: int, v: int) -> Key:
+        """The elements that value v of chunk position j holds, in field
+        order."""
+        width = self.width
         mask = (1 << width) - 1
         out: List[Basis] = []
-        k = 0
-        while c:
-            m = c & mask
-            if m:
-                out += [elems[k]] * m
-            c >>= width
-            k += 1
+        for elem in self.elems[j * self.per:(j + 1) * self.per]:
+            out += [elem] * (v & mask)
+            v >>= width
         return tuple(out)
+
+    def keys(self, codes: Iterable[int]) -> List[Key]:
+        """The sorted key of each code, its M element (if any) last: the
+        chunks' elements in field order (see _numbering)."""
+        memos, step = self.memos, self.per * self.width
+        mask = (1 << step) - 1
+        keys = []
+        for c in codes:
+            key: Key = ()
+            j = 0
+            while c:
+                v = c & mask
+                if v:
+                    memo = memos[j]
+                    got = memo.get(v)
+                    if got is None:
+                        got = memo[v] = self._chunk(j, v)
+                    key += got
+                c >>= step
+                j += 1
+            keys.append(key)
+        return keys
+
+    def decode(self, c: int) -> Key:
+        """The sorted key of one code (see keys)."""
+        return self.keys((c,))[0]
 
     def map(self, n: int, shift: int, sym: GradedSpace, cod: GradedSpace,
             last: Optional[GradedSpace] = None) -> SymMultiMap:
@@ -616,9 +656,9 @@ class _Plan:
         acc: Dict[int, int] = {}
         for kernel, part in self.sums:
             (_insertion if kernel == INSERTION else _grouped_entries)(self, part, n, acc)
-        decode = self.decode
+        codes = [c for c, bits in acc.items() if bits]
         return SymMultiMap._of_table(n, shift, sym, cod,
-                                     {decode(c): bits for c, bits in acc.items() if bits}, last)
+                                     dict(zip(self.keys(codes), map(acc.__getitem__, codes))), last)
 
 
 def _plan(st) -> _Plan:

@@ -65,12 +65,24 @@ def random_modhom(rng, source, target, max_arity, up_to=3):
 
 
 def set_partitions(n):
-    """Every set partition of range(n) as a tuple of boxes, found by giving
-    each position a box label at most one above the labels before it."""
-    for labels in itertools.product(range(n), repeat=n):
-        if all(labels[k] <= max(labels[:k], default=-1) + 1 for k in range(n)):
-            yield tuple(tuple(p for p in range(n) if labels[p] == box)
-                        for box in range(max(labels, default=-1) + 1))
+    """Every set partition of range(n) as a tuple of boxes, each position
+    put in turn into each box opened before it and then into a new one: in
+    the lexicographic order of the box labels of the positions."""
+    boxes = []
+
+    def place(k):
+        if k == n:
+            yield tuple(map(tuple, boxes))
+            return
+        for box in boxes:
+            box.append(k)
+            yield from place(k + 1)
+            box.pop()
+        boxes.append([k])
+        yield from place(k + 1)
+        boxes.pop()
+
+    return place(0)
 
 
 def patch_mutant(monkeypatch, module, name, *edits):
@@ -128,6 +140,35 @@ def wide_arity_morphism():
     target = LinfAlgebra.build(W, 8, {2: SymMultiMap(2, 0, W, W, [((y, y), 1)])})
     return LinfMorphism.build(LinfAlgebra.build(V, 8, {}), target, 8, {
         4: SymMultiMap(4, 3, V, W, [(((0, 0),) * 4, 1)])})
+
+
+def chunked_structures():
+    """(morphism, module) whose kernel plans span three chunk positions of
+    the decoder, built anew.
+
+    The morphism's fields are 4 bits wide, three to a chunk.  Its source
+    has x in degree 0 and w in degree 4, fields 0 and 6, at offset 0 of
+    chunks 0 and 2; five target elements that only pad the numbering lie
+    between them.  f_4 takes x^4 to y and w^4 to u, and l'_2 takes (y, y),
+    (y, u) and (u, u) to one element each, so its residual at its complete
+    bound 8 is nonzero at x^8, x^4 w^4 and w^8: chunk values 8 and 4 at
+    positions 0 and 2, and x held 8 times.  The module is random on a
+    2-dimensional algebra and a 7-dimensional module space, operations up
+    to arity 4 (complete bound 7, 3-bit fields, four to a chunk), so its
+    nine elements fill three chunks, M's last."""
+    V = GradedSpace({0: 1, 4: 1})
+    W = GradedSpace({1: 2, 2: 2, 3: 1, 6: 1, 19: 1, 22: 1, 38: 1})
+    x, w, y, u = (0, 0), (4, 0), (3, 0), (19, 0)
+    target = LinfAlgebra.build(W, 8, {
+        1: SymMultiMap(1, -1, W, W, [(((2, 0),), 0b11), (((2, 1),), 0b01)]),
+        2: SymMultiMap(2, 0, W, W, [(((1, 0), (1, 1)), 1), ((y, y), 1), ((y, u), 1),
+                                    ((u, u), 1)])})
+    mor = LinfMorphism.build(LinfAlgebra.build(V, 8, {}), target, 8, {
+        4: SymMultiMap(4, 3, V, W, [((x,) * 4, 1), ((w,) * 4, 1)])})
+    rng = random.Random(0)
+    L, M = GradedSpace({0: 2}), GradedSpace({-1: 2, 0: 3, 1: 2})
+    module = random_module(rng, random_algebra(rng, L, 7), M, 7, up_to=4)
+    return mor, module
 
 
 # the graded commutative algebra A = F2<1, t, u, tu>, |t| = |u| = 1, by

@@ -129,7 +129,8 @@ def test_naive_residual_catches_an_untagged_embedding(monkeypatch, old, new):
     # fields one bit too narrow for the complete bound 8 (7 needs 3 bits).
     # A narrow field shows only on a key that holds one element as many
     # times as a power-of-two bound, and at bound 1 its fields have no bits,
-    # so decode never ends: it is not run on the random shapes
+    # so the plan's chunk of fields divides by zero: it is not run on the
+    # random shapes
     ("_Plan", (("_reach(sums).bit_length()", "(_reach(sums) - 1).bit_length()"),), False),
 ], ids=["disjoint-keys-only", "every-summand", "numbering-misses-elements", "narrow-fields"])
 def test_naive_residual_catches_kernel_plan_mutants(monkeypatch, name, edits, on_shapes):
@@ -155,7 +156,7 @@ def test_naive_residual_catches_kernel_plan_mutants(monkeypatch, name, edits, on
     # module element, where the constructor would keep it last
     ("_numbering", ("key=lambda b: (b[1] < 0, b)", "key=lambda b: (b[1] >= 0, b)"), True),
     # the keys whose summands cancel kept with zero outputs
-    ("_Plan", ("for c, bits in acc.items() if bits}", "for c, bits in acc.items()}"), False),
+    ("_Plan", ("for c, bits in acc.items() if bits]", "for c, bits in acc.items()]"), False),
 ], ids=["module-element-first", "zero-outputs-kept"])
 def test_unchecked_map_mutants_fail_the_guard(monkeypatch, name, edit, differential):
     # the kernels' maps skip the constructor's checks: each mutant builds

@@ -11,6 +11,7 @@ from linfty import fixtures, structures
 from linfty.cli import main
 from linfty.gfa import Elem, GradedSpace, SymMultiMap, flip_bit, unit
 from linfty.jsonio import Bundle, parse_bundle, serialize_bundle
+from linfty.oracle import naive_residual
 from linfty.restrict import (
     RestrictionContext,
     RestrictionError,
@@ -21,9 +22,9 @@ from linfty.restrict import (
     restrict_module,
     restrict_morphism,
 )
-from helpers import (composite, fails, identity_plus, patch_mutant, plus_identity,
+from helpers import (KIND_OF, composite, fails, identity_plus, patch_mutant, plus_identity,
                      random_algebra, random_modhom, random_module, random_morphism, semidirect,
-                     set_partitions)
+                     set_partitions, transported_algebra)
 from linfty.structures import (
     LinfAlgebra,
     LinfModule,
@@ -35,6 +36,7 @@ from linfty.structures import (
     identity_morphism,
     modhom_residual,
     module_residual,
+    residual,
 )
 
 
@@ -254,6 +256,45 @@ def test_restricted_morphism_satisfies_its_defining_property(name):
     flipped = _top_flipped(restricted)
     assert not _holds(identity_plus(flipped)) and not square_commutes(flipped)
 
+
+def _adjoint(L: LinfAlgebra) -> LinfModule:
+    """L's adjoint module: M = L and k_n(x_1, .., x_{n-1}, m) = l_n(x_1,
+    .., x_{n-1}, m), each key of l_n read with each element it holds in
+    the module slot."""
+    def op(m):
+        entries = {}
+        for key, bits in m.entries():
+            for p, e in enumerate(key):
+                if not p or key[p - 1] != e:
+                    entries[key[:p] + key[p + 1:] + (e,)] = bits
+        return SymMultiMap(m.arity, m.shift, L.space, L.space, list(entries.items()),
+                           last_space=L.space)
+
+    return LinfModule.build(L, L.space, L.max_arity,
+                            {k: op(m) for k, m in enumerate(L.ops, start=1)})
+
+
+def test_restriction_along_a_non_strict_isomorphism():
+    # phi: L' -> L has nonzero phi_2 and phi_3, so the restriction of L's
+    # adjoint module boxes inputs through them: k'_1..k'_4, complete bound 7
+    # (4 + 4 - 1), where L's own k stops at arity 2.  I*M is a module, and
+    # phi + id_M carries L' x| I*M into L x| M; clearing a bit of k'_4
+    # breaks that
+    Lp, phi = transported_algebra(0)
+    assert len(phi.comps) == 3 and not phi.comp(2).is_zero and not phi.comp(3).is_zero
+    M = _adjoint(phi.target)
+    ctx = context(phi, 6)
+    assert ctx.morphism_verified
+    restricted = restrict_module(ctx, M, verify=False)
+    assert restricted.algebra == Lp
+    assert [len(k.entries()) for k in restricted.ops] == [4, 18, 11, 3]
+    assert complete_bound(restricted) == 7
+    assert _holds(M) and _holds(restricted)
+    assert _holds(semidirect(M)) and _holds(semidirect(restricted))
+    assert _holds(plus_identity(phi, restricted, M))
+    assert all(residual(restricted, n) == naive_residual(restricted, KIND_OF[LinfModule], n)
+               for n in range(1, 4))
+    assert not _holds(plus_identity(phi, _top_flipped(restricted), M))
 
 def _seventh_arity_pullback():
     """I: L' -> L with I_3(x, x, x) = I_3(y, y, y) = e, and the L-module M

@@ -39,7 +39,8 @@ from linfty.jsonio import parse_bundle, serialize_bundle
 from linfty.oracle import naive_residual
 from helpers import (KIND_OF, fails, kernel_made_maps, patch_mutant, random_algebra,
                      random_modhom, random_module, random_morphism, rechecked,
-                     residuals_match_naive, seeded_structures, set_partitions,
+                     chunked_structures, residuals_match_naive, seeded_structures,
+                     set_partitions,
                      shapes_match_naive, stored_maps, transported_algebra, unchecked_faults,
                      untabled, wide_arity_morphism)
 
@@ -687,6 +688,51 @@ def test_plan_is_as_wide_as_the_complete_bound():
     assert first_failure(wide_arity_morphism(), 9)[0] == 8
 
 
+def _chunked_residuals():
+    """Each of chunked_structures with its residuals up to its complete
+    bound, each equal to naive_residual's."""
+    out = []
+    for st in chunked_structures():
+        got = [residual(st, n) for n in range(1, complete_bound(st) + 1)]
+        assert got == [naive_residual(st, KIND_OF[type(st)], n) for n in range(1, len(got) + 1)]
+        out.append((st, got))
+    return out
+
+
+def test_decoder_reads_three_chunk_positions():
+    # the morphism's key x^8 holds x as often as its complete bound, and
+    # its chunk values 4 and 8 come at positions 0 and 2, each memo giving
+    # its own position's elements; the module's keys end in M elements,
+    # some of them in its last chunk
+    (mor, at_mor), (mod, at_mod) = _chunked_residuals()
+    x, w = (0, 0), (4, 0)
+    assert complete_bound(mor) == 8 and mor._plan.width == 4 and mor._plan.per == 3
+    assert dict(at_mor[-1].entries()).keys() == {(x,) * 8, (x,) * 4 + (w,) * 4, (w,) * 8}
+    first, middle, last = mor._plan.memos
+    assert first == {4: (x,) * 4, 8: (x,) * 8} and not middle and last == {4: (w,) * 4, 8: (w,) * 8}
+    plan = mod._plan
+    assert len(plan.memos) == 3 and all(plan.memos)
+    ms = set(mod.space.basis())
+    last = set(plan.elems[2 * plan.per:])
+    assert last <= ms
+    keys = [key for got in at_mod for key, _ in got.entries()]
+    assert all(key[-1] in ms for key in keys) and any(key[-1] in last for key in keys)
+
+
+@pytest.mark.parametrize("edit", [
+    # one memo for every chunk position: a chunk value decoded at one
+    # position gives its elements at every other
+    ("memo = memos[j]", "memo = memos[0]"),
+    # a shift one field short of a chunk: every chunk after the first is
+    # read one field low, and its value decoded at the next position
+    ("c >>= step", "c >>= step - self.width"),
+], ids=["memo-shared-across-chunks", "chunk-shift-one-field-short"])
+def test_decoder_mutants_fail_the_chunked_check(monkeypatch, edit):
+    # the structures are new, so every plan is the mutant's
+    patch_mutant(monkeypatch, structures, "_Plan", edit)
+    assert fails(_chunked_residuals)
+    assert fails(residuals_match_naive)
+
 # one space for every map below: l_k(x, .., x) and k_k(x, .., x, m), x = m
 # the degree-0 element, land in degree k - 2, f_k and h_k in degree k - 1
 _U = GradedSpace({d: 1 for d in range(-1, 4)})
@@ -812,6 +858,20 @@ def test_insertion_parity_matches_split_counting():
                                   for k in range(1, n + 1))
                     assert _summed(INSERTION, outer, inner, n) == ({R: 1} if count % 2 else {})
 
+
+def test_set_partitions_are_counted_and_ordered():
+    # the Bell numbers, in the order of the walk over every labeling of the
+    # positions that keeps each label at most one above those before it
+    def labelled(n):
+        for labels in itertools.product(range(n), repeat=n):
+            if all(labels[k] <= max(labels[:k], default=-1) + 1 for k in range(n)):
+                yield tuple(tuple(p for p in range(n) if labels[p] == box)
+                            for box in range(max(labels, default=-1) + 1))
+
+    assert [sum(1 for _ in set_partitions(n)) for n in range(9)] == \
+        [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+    for n in range(7):
+        assert list(set_partitions(n)) == list(labelled(n))
 
 def test_grouped_parity_matches_set_partition_counting():
     # one inner entry A_s at each size s of a shape, valued e0 or e0 + e1,
