@@ -137,7 +137,8 @@ class SymMultiMap:
     relation kernels of ``structures`` read, built there on first use and
     kept; it is no part of the map's value.  The maps those kernels build
     skip the constructor's checks (``_of_table``), which their keys pass by
-    construction (``structures._Plan.map``).
+    construction from maps that every structure's constructor has checked
+    (``structures._Plan.map``).
     """
 
     __slots__ = ("arity", "shift", "sym_space", "last_space", "codomain", "_table", "_kernel")

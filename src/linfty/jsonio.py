@@ -359,12 +359,12 @@ def parse_bundle(text: str) -> Bundle:
         parts = [resolve(_require(s, f, what), ref, what) for f, ref in fields]
         # op(k) / comp(k) of the structure that stores no map: the zero map
         # of arity k, whose signature every parsed map then has
-        zero_of = getattr(cls(*parts, max_arity, ()), maps_field[:-1])
-        maps = _parse_op_table(what, s.get(maps_field), max_arity, zero_of, bundle.warnings)
-        try:  # build checks the parts: a module morphism's modules share an algebra
-            bundle.structures[name] = cls.build(*parts, max_arity, maps)
+        try:  # the constructor checks the parts: a module morphism's modules share an algebra
+            zero_of = getattr(cls(*parts, max_arity, ()), maps_field[:-1])
         except ValueError as exc:
             raise FormatError(f"{what}: {exc}") from None
+        maps = _parse_op_table(what, s.get(maps_field), max_arity, zero_of, bundle.warnings)
+        bundle.structures[name] = cls.build(*parts, max_arity, maps)
     return bundle
 
 

@@ -204,17 +204,14 @@ def check_functoriality(ctx: RestrictionContext, f: ModuleMorphism, g: ModuleMor
 
 def classical_restriction(phi: LinfMorphism, module: LinfModule) -> LinfModule:
     """The textbook restriction for Lie-algebra representations: the pulled
-    back action (y, m) -> k_2(phi_1(y), m), everything in degree 0, phi
-    strict.  Agrees bit for bit with restrict_module on such inputs."""
+    back action (y, m) -> k_2(phi_1(y), m), everything in degree 0.  Agrees
+    bit for bit with restrict_module on such inputs.  In degree 0 the maps
+    are Lie-shaped and phi strict: f_n (degree n-1) for n >= 2, and l_k and
+    k_k (degree k-2) for k >= 3, land where no space has elements, so they
+    are zero maps, which no structure stores."""
     spaces = (phi.source.space, phi.target.space, module.space)
     if any(sp.degrees() not in ((), (0,)) for sp in spaces):
         raise ValueError("classical restriction needs everything in degree 0")
-    if len(phi.comps) > 1:
-        raise ValueError("classical restriction needs a strict morphism")
-    for what, ops in (("source algebra", phi.source.ops), ("target algebra", phi.target.ops),
-                      ("module", module.ops)):
-        if len(ops) > 2:
-            raise ValueError(f"{what}: operation of arity {len(ops)} is nonzero; not Lie-shaped")
     if module.algebra != phi.target:
         raise ValueError("module is not over the target algebra of the morphism")
 

@@ -61,7 +61,8 @@ the elements its keys hold; the l + k family of a module or module
 morphism, read side by side; and a morphism's grouped-sum inner index.  So
 each table is encoded and indexed once per structure, and each residual
 and first_failure arity runs only the pair loop and _Plan.map, whose keys
-need no check by the map constructor.  _Plan.map decodes each code a
+need no check by the map constructor: the structure's constructor has
+checked every map the plan reads.  _Plan.map decodes each code a
 chunk of fields at a time, through a memo per chunk position that the
 plan fills as chunk values first occur, so a key costs one lookup per
 nonzero chunk, not a step per field up to its highest element.  Nothing
@@ -72,9 +73,9 @@ compose builds one plan per call.  Like the tables, the plan, its memos
 included, is plain data outside the structure's value: equality,
 hashing, repr and serialization skip it.
 
-A structure stores its maps only up to its highest nonzero arity; max_arity
-is the truncation number alone.  Every loop over arities runs to the stored
-lengths.
+Every structure, however made, passes one checked constructor (_Structure)
+and stores its maps only up to its highest nonzero arity; max_arity is the
+truncation number alone.  Every loop over arities runs to the stored lengths.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gfa import Basis, Elem, GradedSpace, Key, SymMultiMap, set_bits, zero_map
 
@@ -106,108 +107,108 @@ __all__ = [
 ]
 
 
-def _fill(maps: Mapping[int, SymMultiMap], max_arity: int, zero_of, what: str
-          ) -> Tuple[SymMultiMap, ...]:
-    """The maps of arity 1..top, top the highest nonzero one, each with the
-    signature of zero_of(k), the arity-k zero map that fills the gaps."""
-    top = 0
-    for k, m in maps.items():
-        if not 1 <= k <= max_arity:
-            raise ValueError(f"{what}[{k}] outside 1..{max_arity}")
-        zero = zero_of(k)
-        if m.signature() != zero.signature():
-            raise ValueError(f"{what}[{k}]: expected arity {k}, shift {zero.shift} "
-                             f"on the declared spaces, got {m!r}")
-        if k > top and not m.is_zero:
-            top = k
-    return tuple([maps[k] if k in maps else zero_of(k) for k in range(1, top + 1)])
+@dataclass(frozen=True)
+class _Structure:
+    """A structure of any kind: its parts (spaces, algebras or modules),
+    max_arity, then its maps (field _MAPS), arity k at index k - 1.  The
+    constructor refuses a map without the signature of its arity's zero map
+    (_zero) and a nonzero map above max_arity, reads None as that zero map
+    and drops zero maps from the top; build and the accessor op or comp
+    read the maps."""
+
+    _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
+    _MAPS = "ops"
+
+    def __post_init__(self) -> None:
+        maps = list(getattr(self, self._MAPS))
+        for k, m in enumerate(maps, start=1):
+            zero = self._zero(k)
+            if m is None:
+                maps[k - 1] = zero
+            elif not isinstance(m, SymMultiMap) or m.signature() != zero.signature():
+                raise ValueError(f"{self._MAPS}[{k}]: expected arity {k}, shift {zero.shift} "
+                                 f"on the declared spaces, got {m!r}")
+            elif k > self.max_arity and not m.is_zero:
+                raise ValueError(f"{self._MAPS}[{k}] outside 1..{self.max_arity}")
+        while maps and maps[-1].is_zero:
+            maps.pop()
+        object.__setattr__(self, self._MAPS, tuple(maps))
+
+    @classmethod
+    def build(cls, *args):
+        """cls(*parts, max_arity, maps) from maps given as {arity: map},
+        every arity in 1..max_arity."""
+        *parts, max_arity, maps = args
+        for k in maps:
+            if not 1 <= k <= max_arity:
+                raise ValueError(f"{cls._MAPS}[{k}] outside 1..{max_arity}")
+        return cls(*parts, max_arity, tuple(map(maps.get, range(1, max(maps, default=0) + 1))))
+
+    def _map(self, k: int) -> SymMultiMap:
+        maps = getattr(self, self._MAPS)
+        return maps[k - 1] if 1 <= k <= len(maps) else self._zero(k)
 
 
 @dataclass(frozen=True)
-class LinfAlgebra:
+class LinfAlgebra(_Structure):
     """Brackets l_k (arity k, degree k-2) on one graded space, k <= max_arity."""
 
     space: GradedSpace
     max_arity: int
     ops: Tuple[SymMultiMap, ...]
-    _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
+    op = _Structure._map
 
-    @staticmethod
-    def build(space: GradedSpace, max_arity: int, ops: Mapping[int, SymMultiMap]) -> "LinfAlgebra":
-        zero_of = LinfAlgebra(space, max_arity, ()).op
-        return LinfAlgebra(space, max_arity, _fill(ops, max_arity, zero_of, "l"))
-
-    def op(self, k: int) -> SymMultiMap:
-        if 1 <= k <= len(self.ops):
-            return self.ops[k - 1]
+    def _zero(self, k: int) -> SymMultiMap:
         return zero_map(k, k - 2, self.space, self.space)
 
 
 @dataclass(frozen=True)
-class LinfMorphism:
+class LinfMorphism(_Structure):
     """Components f_n: source^(x)n -> target (arity n, degree n-1)."""
 
     source: LinfAlgebra
     target: LinfAlgebra
     max_arity: int
     comps: Tuple[SymMultiMap, ...]
-    _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
+    _MAPS = "comps"
+    comp = _Structure._map
 
-    @staticmethod
-    def build(source: LinfAlgebra, target: LinfAlgebra, max_arity: int,
-              comps: Mapping[int, SymMultiMap]) -> "LinfMorphism":
-        zero_of = LinfMorphism(source, target, max_arity, ()).comp
-        return LinfMorphism(source, target, max_arity, _fill(comps, max_arity, zero_of, "f"))
-
-    def comp(self, k: int) -> SymMultiMap:
-        if 1 <= k <= len(self.comps):
-            return self.comps[k - 1]
+    def _zero(self, k: int) -> SymMultiMap:
         return zero_map(k, k - 1, self.source.space, self.target.space)
 
 
 @dataclass(frozen=True)
-class LinfModule:
+class LinfModule(_Structure):
     """Operations k_n on n-1 algebra slots plus one module slot, degree n-2."""
 
     algebra: LinfAlgebra
     space: GradedSpace
     max_arity: int
     ops: Tuple[SymMultiMap, ...]
-    _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
+    op = _Structure._map
 
-    @staticmethod
-    def build(algebra: LinfAlgebra, space: GradedSpace, max_arity: int,
-              ops: Mapping[int, SymMultiMap]) -> "LinfModule":
-        zero_of = LinfModule(algebra, space, max_arity, ()).op
-        return LinfModule(algebra, space, max_arity, _fill(ops, max_arity, zero_of, "k"))
-
-    def op(self, k: int) -> SymMultiMap:
-        if 1 <= k <= len(self.ops):
-            return self.ops[k - 1]
+    def _zero(self, k: int) -> SymMultiMap:
         return zero_map(k, k - 2, self.algebra.space, self.space, last_space=self.space)
 
 
 @dataclass(frozen=True)
-class ModuleMorphism:
-    """Components h_n (n-1 algebra slots plus module slot, degree n-1)."""
+class ModuleMorphism(_Structure):
+    """Components h_n (n-1 algebra slots plus module slot, degree n-1)
+    between modules over one algebra."""
 
     source: LinfModule
     target: LinfModule
     max_arity: int
     comps: Tuple[SymMultiMap, ...]
-    _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
+    _MAPS = "comps"
+    comp = _Structure._map
 
-    @staticmethod
-    def build(source: LinfModule, target: LinfModule, max_arity: int,
-              comps: Mapping[int, SymMultiMap]) -> "ModuleMorphism":
-        if source.algebra != target.algebra:
+    def __post_init__(self) -> None:
+        if self.source.algebra != self.target.algebra:
             raise ValueError("module morphism requires modules over the same algebra")
-        zero_of = ModuleMorphism(source, target, max_arity, ()).comp
-        return ModuleMorphism(source, target, max_arity, _fill(comps, max_arity, zero_of, "h"))
+        super().__post_init__()
 
-    def comp(self, k: int) -> SymMultiMap:
-        if 1 <= k <= len(self.comps):
-            return self.comps[k - 1]
+    def _zero(self, k: int) -> SymMultiMap:
         return zero_map(k, k - 1, self.source.algebra.space, self.target.space,
                         last_space=self.source.space)
 
@@ -650,9 +651,10 @@ class _Plan:
             last: Optional[GradedSpace] = None) -> SymMultiMap:
         """The arity-n residual as a map of this signature, unchecked
         (SymMultiMap._of_table): decoded in field order, keys are canonical
-        (_numbering); elements come from stored keys over the same spaces,
-        outputs are xors of stored outputs of one codomain and degree;
-        zeros are left out, and distinct codes give distinct keys."""
+        (_numbering); elements come from stored keys, which the structures'
+        constructor checked to be over these spaces; outputs are xors of
+        stored outputs of one codomain and degree; zeros are left out, and
+        distinct codes give distinct keys."""
         acc: Dict[int, int] = {}
         for kernel, part in self.sums:
             (_insertion if kernel == INSERTION else _grouped_entries)(self, part, n, acc)
@@ -767,15 +769,12 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
     """
     if f.target != g.source:
         raise ValueError("compose(g, f) requires target(f) == source(g)")
-    alg = f.source.algebra
-    if alg != g.source.algebra:
-        raise ValueError("compose requires morphisms over the same algebra")
     N = min(f.max_arity, g.max_arity)
     sums = ((INSERTION, g.comps, (f.comps,)),)
     plan = _Plan(_tabled(sums))
-    comps = {n: plan.map(n, n - 1, alg.space, g.target.space, f.source.space)
-             for n in range(1, min(N, _reach(sums)) + 1)}
-    return ModuleMorphism.build(f.source, g.target, N, comps)
+    comps = tuple(plan.map(n, n - 1, f.source.algebra.space, g.target.space, f.source.space)
+                  for n in range(1, min(N, _reach(sums)) + 1))
+    return ModuleMorphism(f.source, g.target, N, comps)
 
 
 def pullback(morphism: LinfMorphism, maps: Sequence[SymMultiMap],

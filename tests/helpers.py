@@ -302,6 +302,31 @@ def composite(G, F):
     return out
 
 
+def module_composite(g, f, top):
+    """g o f of two module morphisms as {n: {key: bits}} for n <= top,
+    nonzero entries only, by its set-partition derivation: the algebra
+    morphism (id + g) o (id + f) on one module input, where a set partition
+    of the n inputs contributes only when every box without the module
+    element is a singleton, since id has no higher components."""
+    out = {}
+    for n in range(1, top + 1):
+        for xs in itertools.combinations_with_replacement(f.source.algebra.space.basis(), n - 1):
+            for m in f.source.space.basis():
+                args = [unit(x) for x in xs] + [unit(m)]
+                bits = 0
+                for boxes in set_partitions(n):
+                    others = [box for box in boxes if n - 1 not in box]
+                    if any(len(box) > 1 for box in others):
+                        continue
+                    mbox = next(box for box in boxes if n - 1 in box)
+                    inner = f.comp(len(mbox)).eval(tuple(args[p] for p in mbox))
+                    outer = tuple(args[box[0]] for box in others) + (inner,)
+                    bits ^= g.comp(len(boxes)).eval(outer).bits
+                if bits:
+                    out.setdefault(n, {})[xs + (m,)] = bits
+    return out
+
+
 def seeded_structures():
     """One random structure of each kind at seed 42, then at seed 3."""
     # a module space sharing the algebra's 2-dimensional degree, and a module

@@ -85,6 +85,16 @@ def test_verify_missing_reference_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_space_defined_twice_exit_two(fixture_dir, tmp_path, capsys):
+    # two inputs give the space "L" different dimensions
+    doc = json.loads((fixture_dir / "heisenberg-adjoint.json").read_text())
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"spaces": {"L": {"dims": {"0": 1}}}}))
+    assert "L" in doc["spaces"] and doc["spaces"]["L"]["dims"] != {"0": 1}
+    assert main(["verify", str(fixture_dir / "heisenberg-adjoint.json"), str(other)]) == 2
+    assert capsys.readouterr().err == "error: space 'L' defined twice with different content\n"
+
+
 def _malformed(edit):
     doc = {"spaces": {"L": {"dims": {"0": 1}}},
            "structures": {"a": {"kind": "algebra", "space": "L", "max_arity": 2,

@@ -19,6 +19,12 @@ def test_space_basics():
     assert GradedSpace({0: 3, 2: 0}) == GradedSpace({0: 3})  # zero dims dropped
     with pytest.raises(ValueError):
         GradedSpace({0: -1})
+    assert V.elem(1, 0b11) == Elem(1, 3) and V.elem(4, 0) == Elem(4, 0)
+    assert V.basis_elem(1, 1) == Elem(1, 2)
+    with pytest.raises(ValueError, match=r"^no basis element \(1, 2\)$"):
+        V.basis_elem(1, 2)
+    with pytest.raises(ValueError, match="^bits 100 exceed dim 2 in degree 1$"):
+        V.elem(1, 0b100)
 
 
 def test_elem_arithmetic():

@@ -55,6 +55,10 @@ def test_non_canonical_entries_warn_and_canonicalize():
 def test_parse_error_cases():
     with pytest.raises(FormatError):
         parse_bundle("not json")
+    with pytest.raises(FormatError, match="^top level must be an object$"):
+        parse_bundle("[]")
+    with pytest.raises(FormatError, match="^space 'V': negative dimension$"):
+        parse_bundle(json.dumps({"spaces": {"V": {"dims": {"0": -1}}}}))
     with pytest.raises(FormatError):
         parse_bundle(json.dumps({"structures": {"a": {"kind": "nope", "max_arity": 2}}}))
     # dangling space reference
@@ -196,6 +200,24 @@ def test_module_morphism_over_different_algebras_is_a_format_error():
     structures["B"]["algebra"] = "other"
     with pytest.raises(FormatError, match="same algebra"):
         parse_bundle(json.dumps(doc))
+
+
+def test_parse_rejects_a_non_numeric_degree_key():
+    doc = {"spaces": {"L": {"dims": {"x": 1}}}}
+    with pytest.raises(FormatError, match="^space 'L': degree key 'x' is not an integer in "
+                                          "canonical decimal$"):
+        parse_bundle(json.dumps(doc))
+
+
+def test_serializing_an_unnamed_reference_is_a_format_error():
+    b = fixtures.build("heisenberg-adjoint")
+    heis, adjoint = b.structures["heisenberg"], b.structures["adjoint"]
+    with pytest.raises(FormatError,
+                       match="^structure 'heisenberg': its space has no name in the bundle$"):
+        serialize_bundle(Bundle(structures={"heisenberg": heis}))
+    with pytest.raises(FormatError, match="^structure 'adjoint': cross-reference to a structure "
+                                          "missing from the bundle$"):
+        serialize_bundle(Bundle(spaces=b.spaces, structures={"adjoint": adjoint}))
 
 
 def test_serializing_a_type_outside_the_table_is_a_format_error():

@@ -583,9 +583,20 @@ def test_classical_restriction_rejects_non_lie_shapes():
     graded = fixtures.build("abelian-i2")
     with pytest.raises(ValueError):
         classical_restriction(graded.structures["I2"], graded.structures["M2"])  # not degree 0
-    # note: between genuinely degree-0 spaces a nonzero quadratic morphism
-    # part cannot even be stored (its output degree has no basis), so the
-    # degree test is the one that bites in practice
+    lie = fixtures.build("lie-corollary")
+    phi, M = lie.structures["inclusion"], lie.structures["adjoint"]
+    with pytest.raises(ValueError, match="^module is not over the target algebra of the morphism$"):
+        classical_restriction(phi, restrict_module(context(phi, 6), M))
+    # between degree-0 spaces a quadratic morphism part or a ternary
+    # operation has no basis in its output degree 1, so it holds no entry;
+    # the constructor drops it as a zero map, so every degree-0 input is
+    # strict and Lie-shaped, and classical_restriction need not check that
+    V, heis = phi.target.space, phi.target
+    with pytest.raises(ValueError, match="exceed codomain"):
+        SymMultiMap(3, 1, V, V, [(((0, 0),) * 3, 1)])
+    assert LinfMorphism(phi.source, heis, 6,
+                        (phi.comp(1), SymMultiMap(2, 1, phi.source.space, V))) == phi
+    assert len(heis.ops) == 2 and LinfAlgebra(V, 6, (*heis.ops, SymMultiMap(3, 1, V, V))) == heis
 
 
 def _natural_representation(heis):

@@ -37,15 +37,18 @@ from linfty.structures import (
 from linfty.cli import main
 from linfty.jsonio import parse_bundle, serialize_bundle
 from linfty.oracle import naive_residual
-from helpers import (KIND_OF, fails, kernel_made_maps, patch_mutant, random_algebra,
+from helpers import (KIND_OF, fails, kernel_made_maps, patch_mutant, random_algebra, random_map,
                      random_modhom, random_module, random_morphism, rechecked,
                      chunked_structures, residuals_match_naive, seeded_structures,
-                     set_partitions,
+                     module_composite, set_partitions,
                      shapes_match_naive, stored_maps, transported_algebra, unchecked_faults,
                      untabled, wide_arity_morphism)
 
 V2 = GradedSpace({0: 2, 1: 2})
 W2 = GradedSpace({0: 2, -1: 1})
+# graded spaces in up to three of the degrees -2..2, each of dimension 1 or
+# 2, so most leave gaps between their degrees
+_DIMS = hst.dictionaries(hst.integers(-2, 2), hst.integers(1, 2), min_size=1, max_size=3)
 
 
 def _heisenberg():
@@ -65,19 +68,29 @@ def _other(space):
 
 
 _ALG_V2 = LinfAlgebra.build(V2, 4, {})
-# kind -> (build at max_arity 4 from {arity: map}, its arity-2 signature),
-# stated here apart from the accessors that build reads it from
+# kind -> (class, parts, its arity-2 signature), the signature stated here
+# apart from the accessors that the constructor reads it from
 _SIGNED = {
-    "algebra": (lambda maps: LinfAlgebra.build(V2, 4, maps),
-                dict(shift=0, sym_space=V2, last_space=None, codomain=V2)),
-    "morphism": (lambda maps: LinfMorphism.build(_ALG_V2, LinfAlgebra.build(W2, 4, {}), 4, maps),
+    "algebra": (LinfAlgebra, (V2,), dict(shift=0, sym_space=V2, last_space=None, codomain=V2)),
+    "morphism": (LinfMorphism, (_ALG_V2, LinfAlgebra.build(W2, 4, {})),
                  dict(shift=1, sym_space=V2, last_space=None, codomain=W2)),
-    "module": (lambda maps: LinfModule.build(_ALG_V2, W2, 4, maps),
+    "module": (LinfModule, (_ALG_V2, W2),
                dict(shift=0, sym_space=V2, last_space=W2, codomain=W2)),
-    "module_morphism": (lambda maps: ModuleMorphism.build(
-        LinfModule.build(_ALG_V2, W2, 4, {}), LinfModule.build(_ALG_V2, V2, 4, {}), 4, maps),
-        dict(shift=1, sym_space=V2, last_space=W2, codomain=V2)),
+    "module_morphism": (ModuleMorphism,
+                        (LinfModule.build(_ALG_V2, W2, 4, {}), LinfModule.build(_ALG_V2, V2, 4, {})),
+                        dict(shift=1, sym_space=V2, last_space=W2, codomain=V2)),
 }
+
+
+def _bare(cls, *args):
+    """cls's bare constructor on args = (*parts, max_arity, {arity: map}):
+    the maps as a tuple, None in the gaps."""
+    *parts, max_arity, maps = args
+    return cls(*parts, max_arity, tuple(maps.get(k) for k in range(1, max(maps, default=0) + 1)))
+
+
+# the two ways to make a structure from {arity: map}
+_WAYS = (lambda cls, *args: cls.build(*args), _bare)
 # signature field -> the arity-2 signature with that field wrong
 _WRONG = {
     "shift": lambda sig: {**sig, "shift": sig["shift"] + 1},
@@ -91,20 +104,56 @@ _WRONG = {
 @pytest.mark.parametrize("field", list(_WRONG))
 @pytest.mark.parametrize("kind", list(_SIGNED))
 def test_build_checks_signatures(kind, field):
-    build, sig = _SIGNED[kind]
-    build({2: SymMultiMap(2, **sig)})  # the right signature builds
-    with pytest.raises(ValueError, match=r"\[2\]: expected arity 2, shift "):
-        build({2: SymMultiMap(2, **_WRONG[field](sig))})
+    cls, parts, sig = _SIGNED[kind]
+    for make in _WAYS:
+        make(cls, *parts, 4, {2: SymMultiMap(2, **sig)})  # the right signature builds
+        with pytest.raises(ValueError, match=r"\[2\]: expected arity 2, shift "):
+            make(cls, *parts, 4, {2: SymMultiMap(2, **_WRONG[field](sig))})
 
 
 @pytest.mark.parametrize("kind", list(_SIGNED))
 def test_build_checks_arities(kind):
-    build, sig = _SIGNED[kind]
-    with pytest.raises(ValueError, match=r"\[3\]: expected arity 3, shift "):
-        build({3: SymMultiMap(2, **sig)})  # stored under the wrong arity
+    cls, parts, sig = _SIGNED[kind]
+    for make in _WAYS:
+        with pytest.raises(ValueError, match=r"\[3\]: expected arity 3, shift "):
+            make(cls, *parts, 4, {3: SymMultiMap(2, **sig)})  # stored under the wrong arity
     above = {**sig, "shift": sig["shift"] + 3}
     with pytest.raises(ValueError, match=r"\[5\] outside 1\.\.4"):
-        build({5: SymMultiMap(5, **above)})  # above max_arity
+        cls.build(*parts, 4, {5: SymMultiMap(5, **above)})  # above max_arity
+    # the bare constructor drops a zero map above max_arity, and refuses a
+    # nonzero one (test_constructor_refuses_nonzero_maps_above_max_arity)
+    assert _bare(cls, *parts, 4, {5: SymMultiMap(5, **above)}) == cls.build(*parts, 4, {})
+
+
+def test_constructor_refuses_nonzero_maps_above_max_arity():
+    # l_3, f_3, k_3 and h_3 of _stored, nonzero, at max_arity 2
+    alg = LinfAlgebra(_U, 4, ())
+    mod = LinfModule(alg, _U, 4, ())
+    for cls, parts in ((LinfAlgebra, (_U,)), (LinfMorphism, (alg, alg)),
+                       (LinfModule, (alg, _U)), (ModuleMorphism, (mod, mod))):
+        maps = _stored(cls(*parts, 4, ())._map, 3)
+        assert not maps[3].is_zero and len(getattr(_bare(cls, *parts, 3, maps), cls._MAPS)) == 3
+        for make in _WAYS:
+            with pytest.raises(ValueError, match=r"\[3\] outside 1\.\.2"):
+                make(cls, *parts, 2, maps)
+
+
+def test_bare_constructor_checks_what_build_checks():
+    # maps over a 3-dimensional W != V, an l_2 above max_arity 1, and a zero
+    # map on top: the constructor refuses the first two and drops the third
+    # (a module morphism across two algebras: test_compose_requires_one_algebra)
+    V, W = GradedSpace({0: 2, 1: 1}), GradedSpace({0: 3})
+    rng = random.Random(5)
+    foreign = (random_map(rng, 1, -1, W, W, density=1), random_map(rng, 2, 0, W, W, density=1))
+    with pytest.raises(ValueError, match=r"ops\[1\]: expected arity 1, shift -1 on the declared"):
+        LinfAlgebra(V, 3, foreign)
+    l1, l2 = random_map(rng, 1, -1, V, V, density=1), random_map(rng, 2, 0, V, V, density=1)
+    assert not l1.is_zero and not l2.is_zero
+    with pytest.raises(ValueError, match=r"ops\[2\] outside 1\.\.1"):
+        LinfAlgebra(V, 1, (l1, l2))
+    topped = LinfAlgebra(V, 3, (SymMultiMap(1, -1, V, V),))
+    assert topped == LinfAlgebra.build(V, 3, {}) and topped.ops == ()
+    assert LinfAlgebra(V, 3, [l1, None, SymMultiMap(3, 1, V, V)]) == LinfAlgebra.build(V, 3, {1: l1})
 
 
 def test_ops_above_truncation_are_zero():
@@ -311,11 +360,14 @@ def test_compose_n1_n2_hand_expansion():
         assert gf.comp(2).eval((ux, um)) == expected
 
 
+def _stored_entries(st, top):
+    """{n: {key: bits}} of st's maps for n <= top, nonzero entries only."""
+    return {n: dict(st.comp(n).entries()) for n in range(1, top + 1) if not st.comp(n).is_zero}
+
+
 def test_compose_matches_set_partition_derivation():
-    # g o f as the algebra morphism (id + g) o (id + f) on one module input:
-    # a set partition of the n inputs contributes only when every box without
-    # the module element is a singleton, since id has no higher components;
-    # g o f is nonzero up to arity 2 * up_to - 1 (truncated at 4)
+    # g o f against its derivation (helpers.module_composite); g o f is
+    # nonzero up to arity 2 * up_to - 1 (truncated at 4)
     for up_to in (4, 2):
         rng = random.Random(17)
         alg = random_algebra(rng, GradedSpace({-1: 2, 0: 1}), 4, up_to=4)
@@ -326,20 +378,23 @@ def test_compose_matches_set_partition_derivation():
         g = random_modhom(rng, B, C, 4, up_to=up_to)
         gf = compose(g, f)
         assert len(gf.comps) == min(4, 2 * up_to - 1)
-        for n in range(1, 5):
-            for xs in itertools.combinations_with_replacement(alg.space.basis(), n - 1):
-                for m in A.space.basis():
-                    args = [unit(x) for x in xs] + [unit(m)]
-                    bits = 0
-                    for boxes in set_partitions(n):
-                        others = [box for box in boxes if n - 1 not in box]
-                        if any(len(box) > 1 for box in others):
-                            continue
-                        mbox = next(box for box in boxes if n - 1 in box)
-                        inner = f.comp(len(mbox)).eval(tuple(args[p] for p in mbox))
-                        outer = tuple(args[box[0]] for box in others) + (inner,)
-                        bits ^= g.comp(len(boxes)).eval(outer).bits
-                    assert gf.comp(n).value(xs + (m,)) == bits
+        assert _stored_entries(gf, 4) == module_composite(g, f, 4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, phases=(Phase.generate,))
+@given(_DIMS, _DIMS, _DIMS, _DIMS, hst.integers(1, 3), hst.integers(0, 2 ** 32 - 1))
+def test_compose_matches_set_partition_derivation_on_random_shapes(L, A, B, C, up_to, seed):
+    # random f: A -> B and g: B -> C with components up to arity up_to on
+    # spaces drawn afresh, B holding A's degrees and C B's, so that f_1 and
+    # g_1 can compose (a third of the examples give a nonzero g o f, most
+    # of those up to arity 3 or 4); compose reads only the components, so
+    # the algebra and the modules store no operation
+    rng = random.Random(seed)
+    alg = LinfAlgebra.build(GradedSpace(L), 4, {})
+    A, B, C = (LinfModule.build(alg, GradedSpace(dims), 4, {})
+               for dims in (A, {**A, **B}, {**A, **B, **C}))
+    f, g = random_modhom(rng, A, B, 4, up_to), random_modhom(rng, B, C, 4, up_to)
+    assert _stored_entries(compose(g, f), 4) == module_composite(g, f, 4)
 
 
 def test_modhom_right_side_matches_set_partition_derivation():
@@ -501,15 +556,14 @@ def test_compose_requires_matching_modules():
 
 
 def test_compose_requires_one_algebra():
-    # build refuses a module morphism between modules over two algebras, so
-    # f is made with the bare constructor: from A over the chain's source
-    # algebra to B over its target algebra
+    # compose meets only module morphisms over one algebra: the constructor
+    # refuses f from A over the chain's source algebra to B over its target
+    # algebra, so no such f reaches compose
     b = fixtures.build("functoriality-chain")
-    f, g = b.structures["f"], b.structures["g"]
-    stray = ModuleMorphism(LinfModule.build(b.structures["chain_source"], f.source.space, 6, {}),
-                           f.target, f.max_arity, f.comps)
+    f = b.structures["f"]
     with pytest.raises(ValueError, match="over the same algebra"):
-        compose(g, stray)
+        ModuleMorphism(LinfModule.build(b.structures["chain_source"], f.source.space, 6, {}),
+                       f.target, f.max_arity, f.comps)
 
 
 # ---------------------------------------------------------------------------
@@ -985,11 +1039,6 @@ def test_morphism_residual_cost_follows_stored_entries():
     assert time.perf_counter() - start < 0.5
 
 
-# graded spaces in up to three of the degrees -2..2, each of dimension 1 or
-# 2, so most leave gaps between their degrees
-_DIMS = hst.dictionaries(hst.integers(-2, 2), hst.integers(1, 2), min_size=1, max_size=3)
-
-
 @settings(derandomize=True, max_examples=50, deadline=None, phases=(Phase.generate,))
 @given(_DIMS, _DIMS, _DIMS, hst.integers(1, 3), hst.integers(0, 2 ** 32 - 1))
 def test_residual_matches_naive_on_random_shapes(L, M, U, up_to, seed):
@@ -1019,6 +1068,56 @@ def test_transported_algebra_is_valid_by_cancellation(seed):
     del ops[3]
     broken = LinfAlgebra.build(transported.space, transported.max_arity, ops)
     assert first_failure(broken, complete_bound(broken)) is not None
+
+
+def test_residual_and_complete_bound_refuse_a_non_structure():
+    for check in (residual, lambda st, n: complete_bound(st)):
+        with pytest.raises(TypeError, match="^no defining relation for object$"):
+            check(object(), 1)
+
+
+# kind -> its parts on the spaces L and M, and its maps' signature there:
+# (shift at arity k, less k; symmetric slots; codomain; module slot),
+# stated apart from the kinds' own zero maps
+def _kinds(L, M):
+    alg = LinfAlgebra(L, 4, ())
+    mod = LinfModule(alg, M, 4, ())
+    return ((LinfAlgebra, (L,), (-2, L, L, None)),
+            (LinfMorphism, (alg, LinfAlgebra(M, 4, ())), (-1, L, M, None)),
+            (LinfModule, (alg, M), (-2, L, M, M)),
+            (ModuleMorphism, (mod, LinfModule(alg, L, 4, ())), (-1, L, L, M)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, phases=(Phase.generate,))
+@given(_DIMS, _DIMS, hst.integers(0, 3), hst.integers(1, 3),
+       hst.lists(hst.sampled_from(("zero", "random", "shift", "swapped")), max_size=4),
+       hst.integers(0, 2 ** 32 - 1))
+def test_constructor_accepts_what_build_makes(L, M, kind, max_arity, draws, seed):
+    # a tuple of maps, each zero, random, one degree off, or with its
+    # symmetric slots and codomain swapped: the constructor accepts it
+    # exactly when each map has its arity's signature and none above
+    # max_arity is nonzero, and then equals build on the maps up to
+    # max_arity, stores them up to the highest nonzero one and returns each
+    rng = random.Random(seed)
+    L, M = GradedSpace(L), GradedSpace(M)
+    cls, parts, (off, sym, cod, last) = _kinds(L, M)[kind]
+    maps, valid = [], True
+    for k, draw in enumerate(draws, start=1):
+        shift = k + off + (draw == "shift")
+        slots = (cod, sym) if draw == "swapped" else (sym, cod)
+        m = random_map(rng, k, shift, *slots, last, density=0 if draw == "zero" else 0.6)
+        valid &= (shift, slots) == (k + off, (sym, cod)) and (k <= max_arity or m.is_zero)
+        maps.append(m)
+    try:
+        st = cls(*parts, max_arity, tuple(maps))
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    assert st == cls.build(*parts, max_arity, dict(enumerate(maps[:max_arity], start=1)))
+    nonzero = [k for k, m in enumerate(maps, start=1) if not m.is_zero]
+    assert len(getattr(st, cls._MAPS)) == max(nonzero, default=0)
+    assert all(st._map(k) == m for k, m in enumerate(maps, start=1))
 
 
 def test_residual_dispatch_and_first_failure():
