@@ -135,10 +135,10 @@ class SymMultiMap:
 
     A map never changes once built.  ``_kernel`` holds the table that the
     relation kernels of ``structures`` read, built there on first use and
-    kept; it is no part of the map's value.  The maps those kernels build
-    skip the constructor's checks (``_of_table``), which their keys pass by
-    construction from maps that every structure's constructor has checked
-    (``structures._Plan.map``).
+    kept; it is no part of the map's value.  Two builders skip the
+    constructor's checks (``_of_table``): ``structures._Plan.map``, whose
+    keys pass them by construction from checked maps, and
+    ``jsonio._parse_map``, which makes them as it reads each entry.
     """
 
     __slots__ = ("arity", "shift", "sym_space", "last_space", "codomain", "_table", "_kernel")

@@ -36,9 +36,9 @@ a space, an algebra or a module of the bundle) and its maps field ("ops" or
 "comps").  Parsing and serialization are one loop over that table, and a
 field it does not list is an error, as is any field of the top level, a
 space, a map or an entry other than those shown above.  A map's arity,
-shift, slot spaces and canonical form are read off the zero map that a
-structure storing no map returns for that arity (``op(k)`` or ``comp(k)``),
-so this module restates none of them.
+shift, slot spaces and canonical form are read off the zero map of its
+arity that its kind's class gives for the structure's parts
+(``_zero_maps``), so this module restates none of them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -126,9 +125,6 @@ def digest(text: str) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
-_first = operator.itemgetter(0)
-
-
 def _integers(values) -> bool:
     """Whether every value is a JSON integer (bool is an int subclass)."""
     return set(map(type, values)) <= {int}
@@ -155,6 +151,10 @@ def _unique(pairs: List[Tuple[str, object]]) -> dict:
     return obj
 
 
+# json.loads with a hook would build a decoder per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique)
+
+
 def _parse_space(name: str, doc: dict) -> GradedSpace:
     what = f"space {name!r}"
     if not isinstance(doc, dict) or "dims" not in doc:
@@ -166,7 +166,7 @@ def _parse_space(name: str, doc: dict) -> GradedSpace:
     dims = {_int_key(d, key_what): m for d, m in doc["dims"].items()}
     if not _integers(dims.values()):
         raise FormatError(f"{what}: every dimension must be an integer")
-    if min(dims.values(), default=0) < 0:
+    if dims and min(dims.values()) < 0:
         raise FormatError(f"{what}: negative dimension")
     return _space(tuple(dims.items()))
 
@@ -182,11 +182,13 @@ def _space(dims: Tuple[Tuple[int, int], ...]) -> GradedSpace:
 
 def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) -> SymMultiMap:
     """The map described by doc, whose arity, shift, slot spaces and canonical
-    form are those of the zero map of its place in the structure.  Each
-    check is made once: here each entry's types, index limit, output degree
-    and duplicate outputs (_entry_error names a fault); in the map's
-    constructor each key's slots, canonical form and codomain.  A key the
-    constructor had to sort or merge is named in a warning."""
+    form are those of the zero map of its place in the structure.  One pass
+    checks each entry's types, index limit, output degree and duplicate
+    outputs (_entry_error names a fault) and whether it is canonical: key in
+    its slots' spaces, sorted and new, output nonzero and in the codomain.
+    A canonical map is stored as read; any other goes to the constructor,
+    which names a slot fault or sorts and merges keys, each then named in
+    a warning."""
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected a map object")
     _known(doc, _MAP_FIELDS, where)
@@ -199,18 +201,29 @@ def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) ->
     ents = doc.get("entries", [])
     if not isinstance(ents, list):
         raise FormatError(f"{where}: 'entries' must be a list")
+    sym, cod, last = zero.sym_space, zero.codomain, zero.last_space
+    sym_dim, cod_dim = sym._dim.get, cod._dim.get
+    # each slot's dimension lookup; the module slot's is another object
+    slot_dims = (sym_dim,) * zero.n_sym + ((last._dim.get,) if last is not None else ())
     entries: List[Tuple[tuple, int]] = []
+    canonical = True  # every entry so far as the constructor stores it
     for ent in ents:
         # every check on an entry is made here, in one pass; an entry that
         # fails one is handed to _entry_error only to name its fault
         try:
             ins, outs = ent["in"], ent["out"]
-            key, degree, bits = [], shift, 0
+            key, degree, bits, prev, dims = [], shift, 0, (), iter(slot_dims)
             for d, i in ins:
                 if type(d) is not int or type(i) is not int or i >= MAX_INDEX:
                     raise _Faulty
-                key.append((d, i))
+                b = (d, i)
+                key.append(b)
                 degree += d
+                # in its slot's space and, if symmetric, not below the last
+                dim = next(dims, _NO_SLOT)
+                if not 0 <= i < dim(d, 0) or dim is sym_dim and b < prev:
+                    canonical = False
+                prev = b
             for d, i in outs:
                 if (type(d) is not int or type(i) is not int or d != degree
                         or not 0 <= i < MAX_INDEX):
@@ -223,23 +236,26 @@ def _parse_map(where: str, doc: dict, zero: SymMultiMap, warnings: List[str]) ->
         except (TypeError, ValueError, KeyError, _Faulty):
             raise _entry_error(where, ent, shift) from None
         entries.append((tuple(key), bits))
+        canonical = canonical and bits and len(key) == arity and not bits >> cod_dim(degree, 0)
+    table = dict(entries)
+    if canonical and len(table) == len(entries):
+        return SymMultiMap._of_table(arity, shift, sym, cod, table, last_space=last)
     try:
-        m = SymMultiMap(zero.arity, shift, zero.sym_space, zero.codomain, entries,
-                        last_space=zero.last_space)
+        m = SymMultiMap(arity, shift, sym, cod, entries, last_space=last)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
-    stored = m._table
-    if len(stored) < len(entries) or not all(map(stored.__contains__, map(_first, entries))):
-        # a key was not canonical, came twice or has no output: say which
-        seen = set()
-        for key, _ in entries:
-            ckey = m.canonical_key(key)
-            if ckey != key:
-                warnings.append(f"{where}: entry {list(key)} canonicalized on load")
-            if ckey in seen:
-                warnings.append(f"{where}: repeated multi-index {list(ckey)} merged on load")
-            seen.add(ckey)
+    seen = set()
+    for key, _ in entries:
+        ckey = m.canonical_key(key)
+        if ckey != key:
+            warnings.append(f"{where}: entry {list(key)} canonicalized on load")
+        if ckey in seen:
+            warnings.append(f"{where}: repeated multi-index {list(ckey)} merged on load")
+        seen.add(ckey)
     return m
+
+
+_NO_SLOT = {}.get  # the dimensions of a slot past the last
 
 
 class _Faulty(Exception):
@@ -285,14 +301,15 @@ def _bad_entry(where: str, ent: dict) -> FormatError:
 
 
 def _parse_op_table(where: str, doc: dict, max_arity: int, zero_of,
-                    warnings: List[str]) -> Dict[int, SymMultiMap]:
-    out: Dict[int, SymMultiMap] = {}
+                    warnings: List[str]) -> Tuple[Optional[SymMultiMap], ...]:
+    """The maps of an operation table, arity k at index k - 1, None in gaps."""
+    maps: Dict[int, SymMultiMap] = {}
     for key, mdoc in _object(doc, f"{where}: operation table").items():
         k = _int_key(key, f"{where}: arity key")
         if not 1 <= k <= max_arity:
             raise FormatError(f"{where}: arity {k} outside 1..{max_arity}")
-        out[k] = _parse_map(f"{where}[{k}]", mdoc, zero_of(k), warnings)
-    return out
+        maps[k] = _parse_map(f"{where}[{k}]", mdoc, zero_of(k), warnings)
+    return tuple(map(maps.get, range(1, max(maps) + 1))) if maps else ()
 
 
 def _object(doc, what: str) -> dict:
@@ -320,7 +337,9 @@ def parse_bundle(text: str) -> Bundle:
     Raises FormatError on malformed input or unresolvable references.
     """
     try:
-        doc = json.loads(text, object_pairs_hook=_unique)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
@@ -333,13 +352,6 @@ def parse_bundle(text: str) -> Bundle:
     for name, sdoc in _object(doc.get("spaces"), "'spaces'").items():
         bundle.spaces[name] = _parse_space(name, sdoc)
     sdocs = _object(doc.get("structures"), "'structures'")
-
-    def resolve(name, ref: type, what: str):
-        pool = bundle.spaces if ref is GradedSpace else bundle.structures
-        found = pool.get(name) if isinstance(name, str) else None
-        if not isinstance(found, ref):
-            raise FormatError(f"{what}: reference {name!r} does not resolve to a {ref.__name__}")
-        return found
 
     # in table order, so every reference names a structure parsed before it
     rank = {kind: i for i, kind in enumerate(KINDS)}
@@ -356,15 +368,22 @@ def parse_bundle(text: str) -> Bundle:
         max_arity = _require(s, "max_arity", what)
         if type(max_arity) is not int or max_arity < 1:  # bool is an int subclass
             raise FormatError(f"{what}: max_arity must be an integer >= 1")
-        parts = [resolve(_require(s, f, what), ref, what) for f, ref in fields]
-        # op(k) / comp(k) of the structure that stores no map: the zero map
-        # of arity k, whose signature every parsed map then has
-        try:  # the constructor checks the parts: a module morphism's modules share an algebra
-            zero_of = getattr(cls(*parts, max_arity, ()), maps_field[:-1])
+        parts = []
+        for f, ref in fields:
+            ref_name = _require(s, f, what)
+            pool = bundle.spaces if ref is GradedSpace else bundle.structures
+            found = pool.get(ref_name) if isinstance(ref_name, str) else None
+            if not isinstance(found, ref):
+                raise FormatError(f"{what}: reference {ref_name!r} does not resolve to a "
+                                  f"{ref.__name__}")
+            parts.append(found)
+        # zero maps by arity; here a module morphism's modules share an algebra
+        try:
+            zero_of = cls._zero_maps(*parts)
         except ValueError as exc:
             raise FormatError(f"{what}: {exc}") from None
         maps = _parse_op_table(what, s.get(maps_field), max_arity, zero_of, bundle.warnings)
-        bundle.structures[name] = cls.build(*parts, max_arity, maps)
+        bundle.structures[name] = cls(*parts, max_arity, maps)
     return bundle
 
 

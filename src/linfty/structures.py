@@ -109,30 +109,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _Structure:
-    """A structure of any kind: its parts (spaces, algebras or modules),
-    max_arity, then its maps (field _MAPS), arity k at index k - 1.  The
-    constructor refuses a map without the signature of its arity's zero map
-    (_zero) and a nonzero map above max_arity, reads None as that zero map
-    and drops zero maps from the top; build and the accessor op or comp
-    read the maps."""
+    """A structure of any kind: its parts (fields _PARTS), max_arity, then
+    its maps (field _MAPS), arity k at index k - 1.  The constructor
+    refuses a max_arity that is not an int >= 1, parts that make no
+    structure and a map without the signature _signature states for it or
+    nonzero above max_arity, reads None as a zero map and drops zero maps
+    from the top; build and the accessor op or comp read the maps."""
 
     _plan: Optional["_Plan"] = field(default=None, init=False, compare=False, repr=False)
+    # _signature on the parts, for the accessor's zero maps
+    _sig: tuple = field(default=(), init=False, compare=False, repr=False)
     _MAPS = "ops"
 
     def __post_init__(self) -> None:
+        if type(self.max_arity) is not int or self.max_arity < 1:  # bool is an int subclass
+            raise ValueError("max_arity must be an integer >= 1")
+        sig = self._signature(*map(self.__getattribute__, self._PARTS))
+        object.__setattr__(self, "_sig", sig)
+        shift, sym, cod, last = sig
         maps = list(getattr(self, self._MAPS))
         for k, m in enumerate(maps, start=1):
-            zero = self._zero(k)
             if m is None:
-                maps[k - 1] = zero
-            elif not isinstance(m, SymMultiMap) or m.signature() != zero.signature():
-                raise ValueError(f"{self._MAPS}[{k}]: expected arity {k}, shift {zero.shift} "
+                maps[k - 1] = zero_map(k, k + shift, sym, cod, last)
+            elif not isinstance(m, SymMultiMap) or m.signature() != (k, k + shift, sym, last, cod):
+                raise ValueError(f"{self._MAPS}[{k}]: expected arity {k}, shift {k + shift} "
                                  f"on the declared spaces, got {m!r}")
             elif k > self.max_arity and not m.is_zero:
                 raise ValueError(f"{self._MAPS}[{k}] outside 1..{self.max_arity}")
         while maps and maps[-1].is_zero:
             maps.pop()
         object.__setattr__(self, self._MAPS, tuple(maps))
+
+    @classmethod
+    def _zero_maps(cls, *parts):
+        """k -> the zero map of arity k on parts, which are checked first."""
+        shift, sym, cod, last = cls._signature(*parts)
+        return lambda k: zero_map(k, k + shift, sym, cod, last)
 
     @classmethod
     def build(cls, *args):
@@ -146,7 +158,10 @@ class _Structure:
 
     def _map(self, k: int) -> SymMultiMap:
         maps = getattr(self, self._MAPS)
-        return maps[k - 1] if 1 <= k <= len(maps) else self._zero(k)
+        if 1 <= k <= len(maps):
+            return maps[k - 1]
+        shift, sym, cod, last = self._sig
+        return zero_map(k, k + shift, sym, cod, last)
 
 
 @dataclass(frozen=True)
@@ -156,10 +171,13 @@ class LinfAlgebra(_Structure):
     space: GradedSpace
     max_arity: int
     ops: Tuple[SymMultiMap, ...]
+    _PARTS = ("space",)
     op = _Structure._map
 
-    def _zero(self, k: int) -> SymMultiMap:
-        return zero_map(k, k - 2, self.space, self.space)
+    @staticmethod
+    def _signature(space):
+        # shift less arity; symmetric, codomain and module slot spaces
+        return -2, space, space, None
 
 
 @dataclass(frozen=True)
@@ -170,11 +188,12 @@ class LinfMorphism(_Structure):
     target: LinfAlgebra
     max_arity: int
     comps: Tuple[SymMultiMap, ...]
-    _MAPS = "comps"
+    _PARTS, _MAPS = ("source", "target"), "comps"
     comp = _Structure._map
 
-    def _zero(self, k: int) -> SymMultiMap:
-        return zero_map(k, k - 1, self.source.space, self.target.space)
+    @staticmethod
+    def _signature(source, target):
+        return -1, source.space, target.space, None
 
 
 @dataclass(frozen=True)
@@ -185,10 +204,12 @@ class LinfModule(_Structure):
     space: GradedSpace
     max_arity: int
     ops: Tuple[SymMultiMap, ...]
+    _PARTS = ("algebra", "space")
     op = _Structure._map
 
-    def _zero(self, k: int) -> SymMultiMap:
-        return zero_map(k, k - 2, self.algebra.space, self.space, last_space=self.space)
+    @staticmethod
+    def _signature(algebra, space):
+        return -2, algebra.space, space, space
 
 
 @dataclass(frozen=True)
@@ -200,17 +221,14 @@ class ModuleMorphism(_Structure):
     target: LinfModule
     max_arity: int
     comps: Tuple[SymMultiMap, ...]
-    _MAPS = "comps"
+    _PARTS, _MAPS = ("source", "target"), "comps"
     comp = _Structure._map
 
-    def __post_init__(self) -> None:
-        if self.source.algebra != self.target.algebra:
+    @staticmethod
+    def _signature(source, target):
+        if source.algebra != target.algebra:
             raise ValueError("module morphism requires modules over the same algebra")
-        super().__post_init__()
-
-    def _zero(self, k: int) -> SymMultiMap:
-        return zero_map(k, k - 1, self.source.algebra.space, self.target.space,
-                        last_space=self.source.space)
+        return -1, source.algebra.space, target.space, source.space
 
 
 # ---------------------------------------------------------------------------

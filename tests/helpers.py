@@ -2,18 +2,22 @@
 to pin the residual sums against hand-expanded formulas and against the
 oracle on random shapes; a transported algebra whose relations hold by
 cancellation; the semidirect products L x| M on the direct sum, which check
-restriction by its defining property; and mutants of a kernel made by
-editing its source, which those comparisons must catch."""
+restriction by its defining property; mutants of a kernel made by editing
+its source, which those comparisons must catch; and the two-pass map
+parse, the reference for the one-pass parse of linfty.jsonio."""
 
+import contextlib
 import functools
 import inspect
 import itertools
 import random
 import textwrap
+from unittest import mock
 
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as hst
 
+from linfty import jsonio
 from linfty.gfa import GradedSpace, SymMultiMap, unit
 from linfty.oracle import naive_residual
 from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorphism,
@@ -21,6 +25,25 @@ from linfty.structures import (LinfAlgebra, LinfModule, LinfMorphism, ModuleMorp
 
 KIND_OF = {LinfAlgebra: "jacobi", LinfMorphism: "morphism",
            LinfModule: "module", ModuleMorphism: "module_morphism"}
+
+
+def kinds_on(L, M):
+    """For each kind, its class, its parts on the spaces L and M, and its
+    maps' signature there: (shift at arity k, less k; symmetric slots;
+    codomain; module slot), stated apart from the kinds' own _signature."""
+    alg = LinfAlgebra(L, 4, ())
+    mod = LinfModule(alg, M, 4, ())
+    return ((LinfAlgebra, (L,), (-2, L, L, None)),
+            (LinfMorphism, (alg, LinfAlgebra(M, 4, ())), (-1, L, M, None)),
+            (LinfModule, (alg, M), (-2, L, M, M)),
+            (ModuleMorphism, (mod, LinfModule(alg, L, 4, ())), (-1, L, L, M)))
+
+
+def bundle_of(st, L, M):
+    """A bundle of the spaces L and M, st (named s0) and every structure
+    it is built on."""
+    return jsonio.Bundle({"L": L, "M": M},
+                         {f"s{i}": part for i, part in enumerate(with_parts(st))})
 
 
 def random_map(rng: random.Random, arity, shift, sym, cod, last=None, density=0.6):
@@ -437,3 +460,72 @@ def fails(check) -> bool:
     except (AssertionError, KeyError, IndexError, ValueError):
         return True
     return False
+
+
+def two_pass_parse_map(where, doc, zero, warnings):
+    """jsonio._parse_map before it checked keys as it read them: one pass
+    checks each entry's types, index limit, output degree and repeated
+    outputs, then the map's constructor checks each key's slots, canonical
+    form and codomain, and a second pass names each key it sorted or
+    merged.  The reference for the one-pass parse."""
+    if not isinstance(doc, dict):
+        raise jsonio.FormatError(f"{where}: expected a map object")
+    jsonio._known(doc, jsonio._MAP_FIELDS, where)
+    arity, shift = doc.get("arity"), doc.get("shift")
+    if (arity, shift) != (zero.arity, zero.shift) or not type(arity) is int is type(shift):
+        raise jsonio.FormatError(
+            f"{where}: declared arity/shift {arity}/{shift} "
+            f"do not match the required {zero.arity}/{zero.shift}")
+    ents = doc.get("entries", [])
+    if not isinstance(ents, list):
+        raise jsonio.FormatError(f"{where}: 'entries' must be a list")
+    entries = []
+    for ent in ents:
+        try:
+            ins, outs = ent["in"], ent["out"]
+            key, degree, bits = [], shift, 0
+            for d, i in ins:
+                if type(d) is not int or type(i) is not int or i >= jsonio.MAX_INDEX:
+                    raise jsonio._Faulty
+                key.append((d, i))
+                degree += d
+            for d, i in outs:
+                if (type(d) is not int or type(i) is not int or d != degree
+                        or not 0 <= i < jsonio.MAX_INDEX):
+                    raise jsonio._Faulty
+                if bits >> i & 1:
+                    warnings.append(f"{where}: duplicate output element {(d, i)} canonicalized")
+                bits ^= 1 << i
+            if len(ent) > 2:
+                raise jsonio._Faulty
+        except (TypeError, ValueError, KeyError, jsonio._Faulty):
+            raise jsonio._entry_error(where, ent, shift) from None
+        entries.append((tuple(key), bits))
+    try:
+        m = SymMultiMap(zero.arity, shift, zero.sym_space, zero.codomain, entries,
+                        last_space=zero.last_space)
+    except ValueError as exc:
+        raise jsonio.FormatError(f"{where}: {exc}") from None
+    stored = m._table
+    if len(stored) < len(entries) or not all(key in stored for key, _ in entries):
+        seen = set()
+        for key, _ in entries:
+            ckey = m.canonical_key(key)
+            if ckey != key:
+                warnings.append(f"{where}: entry {list(key)} canonicalized on load")
+            if ckey in seen:
+                warnings.append(f"{where}: repeated multi-index {list(ckey)} merged on load")
+            seen.add(ckey)
+    return m
+
+
+def parse_outcome(text, two_pass=False):
+    """("ok", structures, warnings) of parsing text, or ("error", message);
+    with two_pass, every map is parsed by two_pass_parse_map."""
+    reference = mock.patch.object(jsonio, "_parse_map", two_pass_parse_map)
+    with reference if two_pass else contextlib.nullcontext():
+        try:
+            bundle = jsonio.parse_bundle(text)
+        except jsonio.FormatError as exc:
+            return "error", str(exc)
+    return "ok", bundle.structures, bundle.warnings

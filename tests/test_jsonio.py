@@ -1,13 +1,18 @@
 import json
+import random
 import time
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as hst
 
-from linfty import fixtures
+from linfty import fixtures, jsonio
 from linfty.gfa import GradedSpace, SymMultiMap
 from linfty.jsonio import (MAX_INDEX, Bundle, FormatError, digest, merge_bundles, parse_bundle,
                            serialize_bundle)
 from linfty.structures import LinfAlgebra, LinfModule, LinfMorphism
+from helpers import (bundle_of, fails, kinds_on, parse_outcome, patch_mutant, random_map,
+                     stored_maps, unchecked_faults)
 
 
 def test_round_trip_all_fixtures():
@@ -257,3 +262,100 @@ def test_parse_names_a_repeated_key_wherever_it_is(text, key):
     with pytest.raises(FormatError, match=f"^duplicate key '{key}' in one object$"):
         parse_bundle(text)
 
+
+
+def test_parse_refuses_a_byte_order_mark_as_json_loads_does():
+    with pytest.raises(FormatError, match=r"^not valid JSON: Unexpected UTF-8 BOM \(decode using "
+                                          r"utf-8-sig\): line 1 column 1 \(char 0\)$"):
+        parse_bundle("﻿" + _ADJOINT)
+
+
+# each entry of a drawn map is canonical or perturbed in one of these ways
+_PERTURBATIONS = ("canonical", "unsorted", "repeated-key", "empty-out", "repeated-out",
+                  "index-at-dim", "negative-index", "outside-codomain", "wrong-degree",
+                  "index-at-limit")
+
+
+def _perturbed(ent, how, slot_dims, cod, n_sym):
+    """The entries standing for ent under one perturbation: slot_dims[p]
+    is the dimension of slot p's space in a degree, cod the codomain."""
+    ins, outs = ent["in"], ent["out"]
+    if how == "unsorted":
+        ins[:n_sym] = ins[:n_sym][::-1]
+    elif how == "repeated-key":
+        return [ent, json.loads(json.dumps(ent))]
+    elif how == "empty-out":
+        outs.clear()
+    elif how == "repeated-out":
+        outs.append(list(outs[0]))
+    elif how == "index-at-dim":
+        ins[-1][1] = slot_dims[len(ins) - 1](ins[-1][0])
+    elif how == "negative-index":
+        ins[0][1] = -1
+    elif how == "outside-codomain":
+        outs[0][1] = cod.dim(outs[0][0])
+    elif how == "wrong-degree":
+        outs[0][0] += 1
+    elif how == "index-at-limit":
+        ins[-1][1] = MAX_INDEX
+    return [ent]
+
+
+# graded spaces in each of the degrees -2..2, of dimension 1 or 2, so that
+# every drawn map has entries
+_FULL_DIMS = hst.lists(hst.integers(1, 2), min_size=5, max_size=5).map(
+    lambda dims: dict(zip(range(-2, 3), dims)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, phases=(Phase.generate,),
+          report_multiple_bugs=False)
+@given(_FULL_DIMS, _FULL_DIMS, hst.integers(0, 3), hst.integers(1, 3),
+       hst.dictionaries(hst.integers(0, 7), hst.sampled_from(_PERTURBATIONS), min_size=1,
+                        max_size=2),
+       hst.integers(0, 2 ** 32 - 1))
+def one_pass_parse_matches_two_pass(L, M, kind, arity, perturbations, seed):
+    """A map of each kind, entry j perturbed as perturbations[j] says and
+    canonical if it says nothing, parses to equal structures, identical
+    warnings in the same order, or an identical FormatError, one pass or
+    two; every parsed map is as its constructor would store it, and a map
+    of canonical entries alone parses to itself without a warning.  Most
+    entries are canonical, so that no other entry hides a perturbed one's
+    effect on the one-pass parse."""
+    rng = random.Random(seed)
+    L, M = GradedSpace(L), GradedSpace(M)
+    cls, parts, (off, sym, cod, last) = kinds_on(L, M)[kind]
+    m = random_map(rng, arity, arity + off, sym, cod, last, density=0.5)
+    bundle = bundle_of(cls.build(*parts, 4, {arity: m}), L, M)
+    doc = json.loads(serialize_bundle(bundle))
+    table = doc["structures"]["s0"][cls._MAPS]
+    mdoc = table.setdefault(str(arity), {"arity": arity, "shift": arity + off, "entries": []})
+    n_sym = arity - (last is not None)
+    slot_dims = [sym.dim] * n_sym + ([last.dim] if last is not None else [])
+    mdoc["entries"] = [out for j, ent in enumerate(mdoc["entries"])
+                       for out in _perturbed(ent, perturbations.get(j, "canonical"), slot_dims,
+                                             cod, n_sym)]
+    text = json.dumps(doc)
+    outcome = parse_outcome(text)
+    assert outcome == parse_outcome(text, two_pass=True)
+    if outcome[0] == "ok":
+        assert not unchecked_faults([m for st in outcome[1].values() for m in stored_maps(st)])
+    if set(perturbations.values()) <= {"canonical"}:
+        assert outcome == ("ok", bundle.structures, [])
+
+
+def test_one_pass_parse_matches_the_two_pass_reference():
+    one_pass_parse_matches_two_pass()
+
+
+@pytest.mark.parametrize("edit", [
+    (" or dim is sym_dim and b < prev", ""),
+    ("not 0 <= i < dim(d, 0) or ", ""),
+    (" and not bits >> cod_dim(degree, 0)", ""),
+    ("canonical and len(table) == len(entries)", "canonical"),
+    ("canonical = canonical and bits and ", "canonical = canonical and "),
+], ids=["canonical-order", "slot-range", "codomain", "repeated-key", "zero-output"])
+def test_one_pass_mutants_fail_the_two_pass_comparison(monkeypatch, edit):
+    # the maps of the one-pass parse skip the constructor's checks: without
+    # any one of its tests a parsed map differs from its two-pass parse
+    patch_mutant(monkeypatch, jsonio, "_parse_map", edit)
+    assert fails(one_pass_parse_matches_two_pass)

@@ -37,7 +37,8 @@ from linfty.structures import (
 from linfty.cli import main
 from linfty.jsonio import parse_bundle, serialize_bundle
 from linfty.oracle import naive_residual
-from helpers import (KIND_OF, fails, kernel_made_maps, patch_mutant, random_algebra, random_map,
+from helpers import (KIND_OF, bundle_of, fails, kernel_made_maps, kinds_on, patch_mutant,
+                     random_algebra, random_map,
                      random_modhom, random_module, random_morphism, rechecked,
                      chunked_structures, residuals_match_naive, seeded_structures,
                      module_composite, set_partitions,
@@ -1076,32 +1077,22 @@ def test_residual_and_complete_bound_refuse_a_non_structure():
             check(object(), 1)
 
 
-# kind -> its parts on the spaces L and M, and its maps' signature there:
-# (shift at arity k, less k; symmetric slots; codomain; module slot),
-# stated apart from the kinds' own zero maps
-def _kinds(L, M):
-    alg = LinfAlgebra(L, 4, ())
-    mod = LinfModule(alg, M, 4, ())
-    return ((LinfAlgebra, (L,), (-2, L, L, None)),
-            (LinfMorphism, (alg, LinfAlgebra(M, 4, ())), (-1, L, M, None)),
-            (LinfModule, (alg, M), (-2, L, M, M)),
-            (ModuleMorphism, (mod, LinfModule(alg, L, 4, ())), (-1, L, L, M)))
-
-
-@settings(derandomize=True, max_examples=80, deadline=None, phases=(Phase.generate,))
-@given(_DIMS, _DIMS, hst.integers(0, 3), hst.integers(1, 3),
+@settings(derandomize=True, max_examples=120, deadline=None, phases=(Phase.generate,))
+@given(_DIMS, _DIMS, hst.integers(0, 3), hst.one_of(hst.integers(0, 3), hst.just(True)),
        hst.lists(hst.sampled_from(("zero", "random", "shift", "swapped")), max_size=4),
        hst.integers(0, 2 ** 32 - 1))
 def test_constructor_accepts_what_build_makes(L, M, kind, max_arity, draws, seed):
     # a tuple of maps, each zero, random, one degree off, or with its
     # symmetric slots and codomain swapped: the constructor accepts it
-    # exactly when each map has its arity's signature and none above
-    # max_arity is nonzero, and then equals build on the maps up to
-    # max_arity, stores them up to the highest nonzero one and returns each
+    # exactly when max_arity is an integer >= 1 (not a bool), each map has
+    # its arity's signature and none above max_arity is nonzero, and then
+    # equals build on the maps up to max_arity, stores them up to the
+    # highest nonzero one, returns each, and reads back from its
+    # serialization, which serializes again to the same bytes
     rng = random.Random(seed)
     L, M = GradedSpace(L), GradedSpace(M)
-    cls, parts, (off, sym, cod, last) = _kinds(L, M)[kind]
-    maps, valid = [], True
+    cls, parts, (off, sym, cod, last) = kinds_on(L, M)[kind]
+    maps, valid = [], type(max_arity) is int and max_arity >= 1
     for k, draw in enumerate(draws, start=1):
         shift = k + off + (draw == "shift")
         slots = (cod, sym) if draw == "swapped" else (sym, cod)
@@ -1118,6 +1109,24 @@ def test_constructor_accepts_what_build_makes(L, M, kind, max_arity, draws, seed
     nonzero = [k for k, m in enumerate(maps, start=1) if not m.is_zero]
     assert len(getattr(st, cls._MAPS)) == max(nonzero, default=0)
     assert all(st._map(k) == m for k, m in enumerate(maps, start=1))
+    bundle = bundle_of(st, L, M)
+    text = serialize_bundle(bundle)
+    parsed = parse_bundle(text)
+    assert parsed == bundle and parsed.warnings == []
+    assert serialize_bundle(parsed) == text
+
+
+@pytest.mark.parametrize("kind", list(_SIGNED))
+def test_constructor_refuses_a_max_arity_below_one(kind):
+    # LinfAlgebra(GradedSpace({0: 1}), 0, ()) was made and serialized, and
+    # the parse of its file refused it: every structure now has a
+    # max_arity that reads back, whichever way it is made
+    cls, parts, _ = _SIGNED[kind]
+    for make in _WAYS:
+        for max_arity in (0, -2, True, 2.0):
+            with pytest.raises(ValueError, match="^max_arity must be an integer >= 1$"):
+                make(cls, *parts, max_arity, {})
+        assert make(cls, *parts, 1, {}).max_arity == 1
 
 
 def test_residual_dispatch_and_first_failure():
