@@ -267,7 +267,7 @@ def test_parse_names_a_repeated_key_wherever_it_is(text, key):
 def test_parse_refuses_a_byte_order_mark_as_json_loads_does():
     with pytest.raises(FormatError, match=r"^not valid JSON: Unexpected UTF-8 BOM \(decode using "
                                           r"utf-8-sig\): line 1 column 1 \(char 0\)$"):
-        parse_bundle("﻿" + _ADJOINT)
+        parse_bundle("\ufeff" + _ADJOINT)
 
 
 # each entry of a drawn map is canonical or perturbed in one of these ways
