@@ -23,8 +23,12 @@ from . import fixtures as _fixtures
 from .gfa import Elem
 from .jsonio import (KINDS, Bundle, FormatError, digest, kind_of, merge_bundles, parse_bundle,
                      serialize_bundle)
-from .oracle import lemma4_lhs, lemma4_rhs
-from .perm import BlockSpec, filtered_unshuffles, one_line, primed_unshuffles, unshuffles
+# oracle and perm are imported inside the commands that use them.  restrict
+# must stay here although only one command runs it: bench/tracing.py's
+# Tracer.install imports each module it wraps, in turn, after wrapping
+# structures; a restrict first imported then binds the wrappers of
+# structures.first_failure and structures.compose, and Tracer.remove, which
+# restores only the bindings it replaced, leaves them in place.
 from .restrict import (
     RestrictionContext,
     RestrictionError,
@@ -202,6 +206,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_unshuffles(args) -> int:
+    from .perm import BlockSpec, filtered_unshuffles, one_line, primed_unshuffles, unshuffles
+
     spec = BlockSpec(tuple(args.sizes))
     if args.primed:
         perms = primed_unshuffles(spec)
@@ -217,6 +223,8 @@ def cmd_unshuffles(args) -> int:
 
 
 def cmd_lemma4(args) -> int:
+    from .oracle import lemma4_lhs, lemma4_rhs
+
     lhs, rhs = lemma4_lhs(args.n), lemma4_rhs(args.n)
     equal = lhs == rhs
     print(f"n={args.n}: lhs {sum(lhs.values())} summands, "

@@ -44,7 +44,6 @@ arity that its kind's class gives for the structure's parts
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -118,6 +117,8 @@ class Bundle:
 
 
 def digest(text: str) -> str:
+    import hashlib  # here, so that `import linfty.cli` does not load hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

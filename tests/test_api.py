@@ -1,6 +1,7 @@
 """The public names of the package, pinned: adding or removing an export
 shows up as a change to this list."""
 
+import importlib
 import types
 
 import linfty
@@ -19,8 +20,16 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    # submodules become attributes of the package once imported, so they
-    # are left out: which ones are depends on what ran before
-    names = sorted(n for n, v in vars(linfty).items()
-                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    # the exports resolve on access, so they are read through __all__ and
+    # dir(), not vars(); submodules are left out of dir()'s names
+    assert sorted(linfty.__all__) == PUBLIC
+    names = sorted(n for n in dir(linfty) if not n.startswith("_")
+                   and not isinstance(getattr(linfty, n), types.ModuleType))
     assert names == PUBLIC
+    for name in PUBLIC:  # the object its defining module holds now, not a copy
+        value = getattr(linfty, name)
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    ns = {}
+    exec("from linfty import *", ns)
+    assert sorted(n for n in ns if n != "__builtins__") == PUBLIC
+    assert not set(PUBLIC) & set(vars(linfty))  # every access above left no binding to go stale

@@ -9,6 +9,8 @@ tests catch it here first.
 """
 
 import gc
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,6 +84,39 @@ def test_tracer_installs_and_leaves_nothing_behind():
         assert tracing.wrapped_names()
     assert tracing.wrapped_names() == []
     assert isinstance(linfty.cli._thread_cap(), int)
+
+
+FRESH_IMPORT = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import linfty.cli
+loaded = sorted(n for n in sys.modules if n == "linfty" or n.startswith("linfty."))
+hashlib = "hashlib" in sys.modules
+import json
+import tracing
+for _ in range(2):  # as run.traced does: one tracer for set-up, one for the pass
+    with tracing.Tracer().installed():
+        pass
+print(json.dumps({"loaded": loaded, "hashlib": hashlib, "left": tracing.wrapped_names()}))
+"""
+
+
+def test_a_fresh_interpreter_loads_the_command_path_alone_and_traces_cleanly():
+    # This process imported every linfty module before any tracer.
+    # bench/run.py traces in a fresh one, where Tracer.install makes the
+    # first import of each module linfty.cli leaves out; a module whose
+    # first import comes after structures is wrapped binds the wrappers by
+    # name, and removing the tracer leaves them there.  -S keeps site and
+    # its .pth files from importing anything first.
+    src = BENCH.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", FRESH_IMPORT, str(src), str(BENCH)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["left"] == []
+    assert got["loaded"] == ["linfty"] + [
+        f"linfty.{m}" for m in ("cli", "fixtures", "gfa", "jsonio", "restrict", "structures")]
+    assert not got["hashlib"]
 
 
 def test_verify_valid_parses_build_each_map_once(tmp_path, monkeypatch):

@@ -383,9 +383,9 @@ def test_compose_command(fixture_dir, tmp_path):
 
 def test_exit_code_contract_for_lemma4(monkeypatch, capsys):
     # force a mismatch by patching one side; the command reports FAIL / exit 1
-    import linfty.cli as cli
     from collections import Counter
+    import linfty.oracle as oracle
     from linfty.oracle import LabeledOperator
-    monkeypatch.setattr(cli, "lemma4_rhs", lambda n: Counter({LabeledOperator((), 0): 1}))
+    monkeypatch.setattr(oracle, "lemma4_rhs", lambda n: Counter({LabeledOperator((), 0): 1}))
     assert main(["lemma4", "--n", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
